@@ -1,41 +1,83 @@
-"""Backend selection for the word-rewriting kernel.
+"""Pure-Python inner loops of the braid word problem.
 
-Prefers the compiled extension chaingroup._speedups when it imported cleanly,
-otherwise falls back to the pure-Python implementation. Both expose the same
-apply_letters contract and are cross-checked in the test suite. Set
-CHAINGROUP_PURE=1 to force the pure backend (used by the benchmark).
+dynnikov decides it for the oracle: B_n acts on Z^{2n} by piecewise-linear
+maps, and a word is the trivial braid iff it fixes (0, 1) * n (I. Dynnikov,
+Russ. Math. Surveys 57 (2002); Dehornoy, Dynnikov, Rolfsen and Wiest,
+"Ordering Braids", AMS 2008). Each letter costs O(1) big-integer operations.
+apply_letters is the free-group Artin action, the reference the tests check
+dynnikov against; its words can grow exponentially with the braid word.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernel_py
-
-if os.environ.get("CHAINGROUP_PURE"):
-    _impl = _kernel_py
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _kernel_py
-
-apply_letters = _impl.apply_letters
-reduce_word = _kernel_py.reduce_word
+from typing import Sequence
 
 
 def backend() -> str:
-    """Name of the active kernel backend: 'c' or 'python'."""
-    return _impl.BACKEND
+    """Name of the kernel implementation; there is only the pure-Python one."""
+    return "python"
 
 
-def backends() -> dict[str, object]:
-    """All importable kernels keyed by name, for benchmarks and tests."""
-    found: dict[str, object] = {"python": _kernel_py}
-    try:
-        from . import _speedups
+def dynnikov(letters: Sequence[int], coords: Sequence[int]) -> tuple[int, ...]:
+    """Act on Dynnikov coordinates (a_1, b_1, ..., a_n, b_n) by braid letters.
 
-        found["c"] = _speedups
-    except ImportError:
-        pass
-    return found
+    The first letter acts first. The letter i (1 <= i <= n-1) changes only
+    the pairs i and i+1: with x^+ = max(x, 0), x^- = min(x, 0) and
+    t = a_i - b_i^- - a_{i+1} + b_{i+1}^+, it sets
+
+        a_i'     = a_i + b_i^+ + (b_{i+1}^+ - t)^+,   b_i'     = b_{i+1} - t^+,
+        a_{i+1}' = a_{i+1} + b_{i+1}^- + (b_i^- + t)^-,   b_{i+1}' = b_i + t^+.
+
+    The letter -i applies the inverse map.
+    """
+    x = list(coords)
+    n = len(x) // 2
+    for s in letters:
+        i = abs(s)
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"letter {s} out of range for rank {n}")
+        k = 2 * i - 2
+        a1, b1, a2, b2 = x[k:k + 4]
+        p1, m1, p2, m2 = max(b1, 0), min(b1, 0), max(b2, 0), min(b2, 0)
+        if s > 0:
+            t = a1 - m1 - a2 + p2
+            x[k:k + 4] = (a1 + p1 + max(p2 - t, 0), b2 - max(t, 0),
+                          a2 + m2 + min(m1 + t, 0), b1 + max(t, 0))
+        else:
+            t = a1 + m1 - a2 - p2
+            x[k:k + 4] = (a1 - p1 - max(p2 + t, 0), b2 + min(t, 0),
+                          a2 - m2 - min(m1 - t, 0), b1 - min(t, 0))
+    return tuple(x)
+
+
+def apply_letters(
+    n: int,
+    letters: Sequence[int],
+    images: Sequence[Sequence[int]],
+) -> tuple[tuple[int, ...], ...]:
+    """Rewrite each image word through the given braid letters, in order.
+
+    The braid letter i substitutes x_i -> x_i x_{i+1} x_i^{-1} and
+    x_{i+1} -> x_i; the letter -i applies the inverse substitution. The first
+    letter of the braid word acts first. Words stay reduced throughout.
+    """
+    words = [list(w) for w in images]
+    for s in letters:
+        i = abs(s)
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"letter {s} out of range for rank {n}")
+        j = i + 1
+        if s > 0:
+            table = {i: (i, j, -i), -i: (i, -j, -i), j: (i,), -j: (-i,)}
+        else:
+            table = {i: (j,), -i: (-j,), j: (-j, i, j), -j: (-j, -i, j)}
+        for idx, w in enumerate(words):
+            out: list[int] = []
+            for t in w:
+                for r in table.get(t, (t,)):
+                    if out and out[-1] == -r:
+                        out.pop()
+                    else:
+                        out.append(r)
+            words[idx] = out
+    return tuple(tuple(w) for w in words)

@@ -1,14 +1,14 @@
 """Exact word-problem oracle for the braid group.
 
-Braid words act faithfully on a free group of rank n: the letter t_i sends
-x_i to x_i x_{i+1} x_i^{-1}, x_{i+1} to x_i, and fixes the other generators.
-Two words are equal as braids iff they induce the same automorphism, and an
-automorphism is the identity iff every generator image is the single-letter
-word it started as. Free-group words are kept reduced, so comparing
-automorphisms is plain sequence comparison.
+A word is the trivial braid iff its action on Dynnikov coordinates fixes
+(0, 1) * n (see chaingroup.kernel.dynnikov; I. Dynnikov, Russ. Math. Surveys
+57 (2002)). Equality, centrality and relation checks all reduce to that test.
 
-Composition convention, fixed globally: words act left-to-right, the first
-letter applied first, and artin_action(u * v) = artin_action(u) followed by
+The faithful Artin action on the free group of rank n is kept as the
+reference the tests check the oracle against: the letter t_i sends x_i to
+x_i x_{i+1} x_i^{-1}, x_{i+1} to x_i, and fixes the other generators. Images
+are kept freely reduced, so comparing automorphisms is sequence comparison.
+Words act left-to-right: artin_action(u * v) = artin_action(u) followed by
 artin_action(v).
 """
 
@@ -64,7 +64,8 @@ def compose(f: FreeAutomorphism, g: FreeAutomorphism) -> FreeAutomorphism:
 
 def is_identity(w: BraidWord) -> bool:
     """True iff the word represents the trivial braid."""
-    return artin_action(w).is_identity()
+    start = (0, 1) * w.n
+    return kernel.dynnikov(w.letters, start) == start
 
 
 def are_equal(u: BraidWord, v: BraidWord) -> bool:

@@ -144,7 +144,13 @@ class TestGamma:
 class TestFreeReduce:
     @pytest.mark.parametrize(
         "before,after",
-        [((1, -1), ()), ((1, 2, -2, -1), ()), ((1, 2, 1), (1, 2, 1))],
+        [
+            ((1, -1), ()),
+            ((1, 2, -2, -1), ()),
+            ((1, 2, 1), (1, 2, 1)),
+            ((1, -1, 2), (2,)),
+            ((), ()),
+        ],
     )
     def test_examples(self, before, after):
         assert braids.free_reduce(BraidWord(3, before)).letters == after

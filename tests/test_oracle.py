@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from chaingroup import braids, oracle
+from chaingroup import braids, kernel, oracle
 from chaingroup.braids import BraidWord
 from chaingroup.oracle import (
     FreeAutomorphism,
@@ -170,3 +171,38 @@ class TestVerifyCandidateHom:
     def test_requires_full_index_set(self):
         with pytest.raises(ValueError):
             verify_candidate_hom(4, {1: BraidWord(4, (1,))})
+
+
+class TestLongWords:
+    """A freely reduced 400-letter word on 8 strands. Through the Artin action
+    w * w^-1 builds free-group words of millions of letters; Dynnikov
+    coordinates stay under 70 bits."""
+
+    @staticmethod
+    def _word():
+        rng = random.Random(2011)
+        letters = []
+        while len(letters) < 400:
+            x = rng.choice((1, -1)) * rng.randint(1, 7)
+            if not letters or letters[-1] != -x:
+                letters.append(x)
+        return BraidWord(8, tuple(letters))
+
+    def test_word_times_inverse_is_trivial(self):
+        w = self._word()
+        assert is_identity(w * w.inverse())
+
+    def test_conjugate_of_generator_is_not(self):
+        w = self._word()
+        assert not is_identity(w * BraidWord(8, (1,)) * w.inverse())
+
+    def test_coordinate_bits_grow_at_most_linearly(self):
+        # One letter rewrites two pairs; |t| is at most the sum of the four
+        # old values and each new value at most |t| plus three old ones, so
+        # the largest |coordinate| grows by at most 7 < 2^3 per letter.
+        w = self._word()
+        coords = (0, 1) * 8
+        for k, s in enumerate((w * w.inverse()).letters, 1):
+            coords = kernel.dynnikov((s,), coords)
+            assert max(abs(x).bit_length() for x in coords) <= 1 + 3 * k
+        assert coords == (0, 1) * 8
