@@ -158,9 +158,11 @@ def ln_group(p: LnParams) -> AbelianInvariants:
     if p.M <= 0:
         raise ValueError("group computation needs positive torsion M > 0")
     inv = smith_normal_form(ln_params_rows(p))
-    assert inv.free_rank == 0
+    if inv.free_rank != 0:
+        raise RuntimeError(f"quotient for {p} has free rank {inv.free_rank}, expected finite")
     expected = (p.M // p.m) * p.d * p.m ** (p.r - 1)
-    assert inv.cardinality() == expected, (inv, expected)
+    if inv.cardinality() != expected:
+        raise RuntimeError(f"quotient for {p} has order {inv.cardinality()}, expected {expected}")
     return inv
 
 
@@ -262,7 +264,8 @@ def enum_perm_reps(
                 out.append(rep)
         reps = out
     for rep in reps:
-        assert perm_rep_satisfies_relations(rep)
+        if not perm_rep_satisfies_relations(rep):
+            raise RuntimeError(f"enumerated tuple {rep.images} violates a braid relation")
     return reps
 
 

@@ -159,7 +159,8 @@ def generate(cls: GraphClass, m: int) -> ActionGraph:
     g = ActionGraph(max(u for e in edges for u in e) + 1, edges, vperm, eperm)
     if not g.is_connected():
         raise ValueError(f"parameters {cls} with m={m} give a disconnected graph")
-    assert g.is_edge_transitive()
+    if not g.is_edge_transitive():
+        raise RuntimeError(f"template {cls} with m={m} is not edge-transitive")
     return g
 
 

@@ -187,7 +187,8 @@ def monodromy_rep(lat: SkewLattice, chain: Sequence[CurveClass], eps: int) -> li
             else:
                 lhs = intmat.mat_mul(ms[i], ms[j])
                 rhs = intmat.mat_mul(ms[j], ms[i])
-            assert lhs == rhs, "chain transvections violated a relation"
+            if lhs != rhs:
+                raise RuntimeError(f"chain transvections {i + 1},{j + 1} violated a relation")
     return ms
 
 
@@ -261,6 +262,9 @@ def extract_triple(
     ms = [intmat.as_matrix(m) for m in ms]
     if len(ms) < 5:
         raise ValueError("need at least 5 matrices (chain length >= 5)")
+    for i, m in enumerate(ms):
+        if len(m) != lat.rank or any(len(row) != lat.rank for row in m):
+            raise ValueError(f"matrix {i + 1} is not {lat.rank}x{lat.rank}")
     if all(m == ms[0] for m in ms):
         return CYCLIC
 
@@ -396,7 +400,8 @@ def lift_adjust(lifts: Sequence[CentralExtElement]) -> list[CentralExtElement]:
         out.append(lifts[i] * acc)
     for i in range(len(out) - 1):
         a, b = out[i], out[i + 1]
-        assert a * b * a == b * a * b, "adjustment left a braid defect"
+        if a * b * a != b * a * b:
+            raise RuntimeError(f"adjustment left a braid defect at position {i + 1}")
     return out
 
 

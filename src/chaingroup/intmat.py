@@ -1,15 +1,17 @@
 """Exact integer matrix arithmetic on tuples of tuples.
 
 Matrices are immutable row-major tuples of Python ints, so products of
-transvections can grow without bound. Rational steps (inverses, kernels,
-column-space intersections) go through fractions.Fraction and are converted
-back to integers only when exact.
+transvections can grow without bound. Inverses, kernels and column spaces
+all come from one fraction-free echelon routine that never leaves the
+integers: each elimination step is row <- p*row - f*pivot_row followed by
+division by the row's gcd, in the spirit of Bareiss (Sylvester's identity and
+multistep integer-preserving Gaussian elimination, Math. Comp. 22, 1968).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from functools import reduce
+from math import gcd, lcm
 from typing import Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -22,11 +24,6 @@ def as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def zero(n: int, m: int | None = None) -> Matrix:
-    m = n if m is None else m
-    return tuple((0,) * m for _ in range(n))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -43,11 +40,15 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
+    return tuple(
+        tuple(x + y for x, y in zip(r, s, strict=True)) for r, s in zip(a, b, strict=True)
+    )
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
+    return tuple(
+        tuple(x - y for x, y in zip(r, s, strict=True)) for r, s in zip(a, b, strict=True)
+    )
 
 
 def mat_scale(a: Matrix, c: int) -> Matrix:
@@ -62,163 +63,110 @@ def outer(u: Vector, v: Vector) -> Matrix:
     return tuple(tuple(x * y for y in v) for x in u)
 
 
-def int_inverse(a: Matrix) -> Matrix | None:
-    """Inverse of a square matrix when it exists over the integers, else None."""
-    n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = [row[n:] for row in aug]
-    if any(x.denominator != 1 for row in inv for x in row):
-        return None
-    return tuple(tuple(int(x) for x in row) for row in inv)
-
-
-def rank(a: Matrix) -> int:
-    rows = [[Fraction(x) for x in row] for row in a]
-    m = len(rows[0]) if rows else 0
-    r = 0
-    for col in range(m):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
 def primitive(v: Sequence[int]) -> Vector:
     """Divide out the gcd; the zero vector stays zero."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return tuple(0 for _ in v)
-    return tuple(x // g for x in v)
+    g = reduce(gcd, v, 0)
+    return tuple(x // g for x in v) if g else tuple(v)
 
 
 def sign_normalized(v: Sequence[int]) -> Vector:
     """Flip signs so the first nonzero coordinate is positive."""
     for x in v:
         if x != 0:
-            return tuple(y for y in v) if x > 0 else tuple(-y for y in v)
+            return tuple(v) if x > 0 else tuple(-y for y in v)
     return tuple(v)
 
 
-def column_space_basis(a: Matrix) -> list[Vector]:
-    """Primitive integer vectors spanning the column space over Q."""
-    cols = [[Fraction(a[i][j]) for i in range(len(a))] for j in range(len(a[0]))]
-    basis: list[list[Fraction]] = []
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over the integers: the rows and the pivot columns.
+
+    Row i has its pivot in column pivots[i], and every pivot column is zero
+    outside its pivot row; the rows after the last pivot row are zero. Each
+    pivot row is primitive with a positive pivot, so it is the rational
+    reduced echelon row times the smallest positive integer that clears its
+    denominators. Rows stay lists of ints throughout, and gcds are folded
+    with reduce: gcd(*row) would build an argument tuple per call, and
+    CPython 3.11 parks freed 20-tuples on a free list it never reuses, so
+    the 20-wide rows of a genus-5 inverse would pin about 370 KB.
+    """
+    work = [list(row) for row in rows]
     pivots: list[int] = []
-    for col in cols:
-        vec = col[:]
-        for b, p in zip(basis, pivots):
-            if vec[p] != 0:
-                f = vec[p] / b[p]
-                vec = [x - f * y for x, y in zip(vec, b)]
-        pivot = next((i for i, x in enumerate(vec) if x != 0), None)
-        if pivot is not None:
-            basis.append(vec)
-            pivots.append(pivot)
-    out = []
-    for vec in basis:
-        denom = 1
-        for x in vec:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        out.append(primitive([int(x * denom) for x in vec]))
-    return out
+    for col in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        if r == len(work):
+            break
+        k = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if k is None:
+            continue
+        top = work[k]
+        g = reduce(gcd, top) if top[col] > 0 else -reduce(gcd, top)
+        top = [x // g for x in top]
+        work[k] = work[r]
+        work[r] = top
+        p = top[col]
+        for i, row in enumerate(work):
+            f = row[col]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(row, top)]
+                g = reduce(gcd, row)
+                work[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+    return work, pivots
+
+
+def int_inverse(a: Matrix) -> Matrix | None:
+    """Inverse of a square matrix when it exists over the integers, else None.
+
+    Row i of the echelon form of [A | I] is the primitive multiple
+    p_i * (e_i | row i of A^-1), so A^-1 is integral exactly when every
+    pivot p_i is 1.
+    """
+    n = len(a)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    rows, pivots = _echelon(aug)
+    if pivots != list(range(n)) or any(rows[i][i] != 1 for i in range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def column_space_basis(a: Matrix) -> list[Vector]:
+    """Primitive integer vectors spanning the column space over Q: the
+    nonzero echelon rows of the transpose."""
+    rows, pivots = _echelon(transpose(a))
+    return [tuple(row) for row in rows[: len(pivots)]]
 
 
 def intersect_spans(us: list[Vector], vs: list[Vector]) -> list[Vector]:
-    """Primitive basis of span(us) ∩ span(vs) over Q."""
+    """Primitive basis of span(us) ∩ span(vs) over Q.
+
+    Each kernel vector k of the matrix with columns us, vs gives the common
+    vector sum_j k_j us_j.
+    """
     if not us or not vs:
         return []
-    dim = len(us[0])
-    cols = [list(u) for u in us] + [list(v) for v in vs]
-    rows = [[Fraction(cols[j][i]) for j in range(len(cols))] for i in range(dim)]
-    ker = _rational_kernel(rows)
-    out = []
-    for k in ker:
-        vec = [Fraction(0)] * dim
-        for coef, u in zip(k[: len(us)], us):
-            for i in range(dim):
-                vec[i] += coef * u[i]
-        denom = 1
-        for x in vec:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        w = primitive([int(x * denom) for x in vec])
-        if any(w):
-            out.append(w)
-    return _independent(out)
+    ker = kernel_basis(transpose(tuple(us) + tuple(vs)))
+    u_cols = transpose(us)
+    common = [mat_vec(u_cols, k[: len(us)]) for k in ker]
+    return column_space_basis(transpose(common))
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
-    """Primitive integer basis of the rational kernel of a."""
-    rows = [[Fraction(x) for x in row] for row in a]
-    ker = _rational_kernel(rows)
-    out = []
-    for k in ker:
-        denom = 1
-        for x in k:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        out.append(primitive([int(x * denom) for x in k]))
-    return out
+    """Primitive integer basis of the rational kernel of a.
 
-
-def _rational_kernel(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    if not rows:
+    One vector per free column, in increasing order, positive in its free
+    column and zero in the other free columns.
+    """
+    if not a:
         return []
-    m = len(rows[0])
-    work = [row[:] for row in rows]
-    pivots: dict[int, int] = {}
-    r = 0
-    for col in range(m):
-        pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
+    rows, pivots = _echelon(a)
+    scale = lcm(*(row[pc] for row, pc in zip(rows, pivots)))
+    out = []
+    for fc in range(len(a[0])):
+        if fc in pivots:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        pv = work[r][col]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots[col] = r
-        r += 1
-        if r == len(work):
-            break
-    free_cols = [c for c in range(m) if c not in pivots]
-    ker = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * m
-        vec[fc] = Fraction(1)
-        for pc, pr in pivots.items():
-            vec[pc] = -work[pr][fc]
-        ker.append(vec)
-    return ker
-
-
-def _independent(vecs: list[Vector]) -> list[Vector]:
-    out: list[Vector] = []
-    for v in vecs:
-        if rank(tuple(out) + (v,)) > len(out):
-            out.append(v)
+        vec = [0] * len(a[0])
+        vec[fc] = scale
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc] * (scale // row[pc])
+        out.append(primitive(vec))
     return out

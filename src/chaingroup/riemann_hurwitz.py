@@ -73,7 +73,8 @@ def rh_enumerate(
                     stack.append((remaining - val, idx, acc + (val,)))
     out.sort(key=lambda d: (d.chi_quotient, len(d.branch), d.branch))
     for d in out:
-        assert rh_check(d)
+        if not rh_check(d):
+            raise RuntimeError(f"enumerated branch data {d} fails the Riemann-Hurwitz equation")
     return out
 
 

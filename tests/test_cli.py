@@ -106,6 +106,15 @@ class TestHomologyCommands:
         code, out, _ = run(capsys, "homology", "extract", str(path))
         assert code == 1 and out.startswith("not-recognized")
 
+    def test_extract_mixed_ranks_is_usage_error(self, capsys, tmp_path):
+        small = monodromy_rep(standard_lattice(1), build_chain(standard_lattice(1), 2), 1)
+        big = monodromy_rep(standard_lattice(2), build_chain(standard_lattice(2), 3), 1)
+        blob = "\n\n".join(homology.format_matrix(m) for m in small + big)
+        path = tmp_path / "mats.txt"
+        path.write_text(blob)
+        code, out, err = run(capsys, "homology", "extract", str(path))
+        assert code == 2 and out == "" and "not 2x2" in err
+
     def test_lift(self, capsys, tmp_path):
         lat = standard_lattice(2)
         rep = monodromy_rep(lat, build_chain(lat, 3), 1)

@@ -291,6 +291,17 @@ class TestExtractTriple:
         with pytest.raises(ValueError):
             extract_triple(lat, [intmat.identity(6)] * 4)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (8, 8), (6, 5)])
+    def test_wrong_shape_rejected(self, shape):
+        lat = standard_lattice(3)
+        rows, cols = shape
+        wrong = tuple(tuple(int(i == j) for j in range(cols)) for i in range(rows))
+        ms = monodromy_rep(lat, build_chain(lat, 5), 1)
+        with pytest.raises(ValueError, match="not 6x6"):
+            extract_triple(lat, ms[:4] + [wrong])
+        with pytest.raises(ValueError, match="not 6x6"):
+            extract_triple(lat, [wrong] * 5)
+
 
 def _random_direction(lat, chain, rng):
     kind = rng.choice(["id", "neg", "orth"])
