@@ -8,8 +8,10 @@ computed exactly as Z^r modulo the row lattice of those relations; its
 cardinality comes out as (M/m) * d * m^(r-1).
 
 The permutation side enumerates all tuples of permutations satisfying the
-braid and commutation relations by backtracking, and checks the orbit-size
-law |orbit| = l * C(r, k) for equivariant spectra.
+braid and commutation relations by a depth-first search that only pairs
+permutations of one cycle type (images joined by braid relations are
+conjugate), and checks the orbit-size law |orbit| = l * C(r, k) for
+equivariant spectra.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 from .intmat import Matrix, as_matrix
 
@@ -179,6 +182,9 @@ class PermRep:
 
 def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Composition: apply a first, then b."""
+    if len(a) > 1:
+        return itemgetter(*a)(b)
+    # itemgetter with one index returns a scalar, not a tuple
     return tuple(b[x] for x in a)
 
 
@@ -201,12 +207,14 @@ def enum_perm_reps(
 ) -> list[PermRep]:
     """All (n-1)-tuples of permutations of k symbols obeying the relations.
 
-    Backtracking over generator images: each image must braid with its
-    predecessor and commute with everything two or more steps back. Results
-    come in lexicographic order of image tuples; with dedup_conjugacy only
-    the lexicographically least simultaneous conjugate of each class is
-    kept. Commutation constraints are tracked as bit masks over the whole
-    symmetric group, which keeps the (n, k) = (6, 6) search affordable.
+    Depth-first search over generator images: each image must braid with its
+    predecessor and commute with everything two or more steps back. If
+    aba = bab then b = (ab) a (ab)^-1, so every image of a chain is conjugate
+    to the first and only pairs inside one conjugacy class (one cycle type)
+    are ever tested; commutation with earlier images is tracked as bit masks
+    over the permutations. Results come in lexicographic order of image
+    tuples; with dedup_conjugacy only the first tuple of each simultaneous
+    conjugacy class, which is its lexicographic minimum, is kept.
     """
     if n < 3 or k < 1:
         raise ValueError("need n >= 3 strands and k >= 1 symbols")
@@ -215,58 +223,83 @@ def enum_perm_reps(
         raise ValueError(f"symbol count {k} exceeds the search budget {cap}")
 
     perms = sorted(itertools.permutations(range(k)))
-    index = {p: i for i, p in enumerate(perms)}
     size = len(perms)
-    mul = [[index[_pmul(perms[a], perms[b])] for b in range(size)] for a in range(size)]
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for i, p in enumerate(perms):
+        classes.setdefault(_cycle_type(p), []).append(i)
 
     braid_next: list[list[int]] = [[] for _ in range(size)]
     comm_mask = [0] * size
-    for a in range(size):
-        for b in range(size):
-            ab = mul[a][b]
-            ba = mul[b][a]
-            if mul[ab][a] == mul[ba][b]:
-                braid_next[a].append(b)
-            if ab == ba:
-                comm_mask[a] |= 1 << b
+    for members in classes.values():
+        for a in members:
+            pa = perms[a]
+            for b in members:
+                pb = perms[b]
+                ab = _pmul(pa, pb)
+                ba = _pmul(pb, pa)
+                if _pmul(ab, pa) == _pmul(ba, pb):
+                    braid_next[a].append(b)
+                if ab == ba:
+                    comm_mask[a] |= 1 << b
 
+    # stack[d] iterates the candidates for image d; masks[d] is the set of
+    # permutations commuting with images 0..d
     results: list[tuple[int, ...]] = []
     chosen: list[int] = []
-    prefix_masks: list[int] = []
-
-    def rec(level: int):
-        if level == n - 1:
-            results.append(tuple(chosen))
-            return
-        pool: Iterable[int] = range(size) if level == 0 else braid_next[chosen[-1]]
-        for b in pool:
-            if level >= 2 and not (prefix_masks[level - 2] >> b) & 1:
-                continue
-            chosen.append(b)
-            prefix_masks.append((prefix_masks[-1] if prefix_masks else (1 << size) - 1) & comm_mask[b])
-            rec(level + 1)
-            prefix_masks.pop()
-            chosen.pop()
-
-    rec(0)
+    masks: list[int] = []
+    stack: list[Iterator[int]] = [iter(range(size))]
+    while stack:
+        b = next(stack[-1], None)
+        if b is None:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+                masks.pop()
+            continue
+        level = len(chosen)
+        if level >= 2 and not (masks[level - 2] >> b) & 1:
+            continue
+        if level == n - 2:
+            results.append((*chosen, b))
+            continue
+        chosen.append(b)
+        masks.append((masks[-1] if masks else (1 << size) - 1) & comm_mask[b])
+        stack.append(iter(braid_next[b]))
 
     reps = [PermRep(k, tuple(perms[i] for i in tup)) for tup in sorted(results)]
     if dedup_conjugacy:
+        inverses = [_inv(c) for c in perms]
         seen = set()
         out = []
         for rep in reps:
-            canon = min(
-                tuple(_pmul(_pmul(_inv(c), g), c) for g in rep.images)
-                for c in perms
+            if rep.images in seen:
+                continue
+            out.append(rep)
+            seen.update(
+                tuple(_pmul(_pmul(ci, g), c) for g in rep.images)
+                for c, ci in zip(perms, inverses)
             )
-            if canon not in seen:
-                seen.add(canon)
-                out.append(rep)
         reps = out
     for rep in reps:
         if not perm_rep_satisfies_relations(rep):
             raise RuntimeError(f"enumerated tuple {rep.images} violates a braid relation")
     return reps
+
+
+def _cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
+    """Sorted cycle lengths of p, its conjugacy class in the symmetric group."""
+    lengths = []
+    seen = [False] * len(p)
+    for start in range(len(p)):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
 
 
 def _inv(p: tuple[int, ...]) -> tuple[int, ...]:

@@ -59,7 +59,7 @@ class SkewLattice:
 
     def pair(self, x: Sequence[int], y: Sequence[int]) -> int:
         Jy = intmat.mat_vec(self.pairing, tuple(y))
-        return sum(a * b for a, b in zip(x, Jy))
+        return sum(a * b for a, b in zip(x, Jy, strict=True))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,6 +151,8 @@ def build_chain(lat: SkewLattice, k: int) -> list[CurveClass]:
 
 def _require_chain(lat: SkewLattice, chain: Sequence[CurveClass]) -> None:
     for c in chain:
+        if len(c.v) != lat.rank:
+            raise ValueError(f"class {c.v} has length {len(c.v)}, lattice rank is {lat.rank}")
         if c.is_zero():
             raise ValueError("chain classes must be nonzero")
     for i, ci in enumerate(chain):

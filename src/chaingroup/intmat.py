@@ -36,7 +36,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(x * y for x, y in zip(row, v, strict=True)) for row in a)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:

@@ -157,6 +157,11 @@ class TestPermCommand:
         assert code == 0
         assert out.splitlines()[0] == "count=12 cyclic=6 noncyclic=6"
 
+    def test_deep_chain_summary(self, capsys):
+        code, out, _ = run(capsys, "perm", "enum", "--n", "2000", "--k", "2", "--summary")
+        assert code == 0
+        assert out.splitlines()[0] == "count=2 cyclic=2 noncyclic=0"
+
     def test_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CHAINGROUP_BUDGET", "2")
         code, _, err = run(capsys, "perm", "enum", "--n", "4", "--k", "3")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -175,6 +176,95 @@ class TestEnumPermReps:
             enum_perm_reps(4, 7)
         with pytest.raises(ValueError):
             enum_perm_reps(4, 4, budget=3)
+
+
+def _compose(a, b):
+    return tuple(b[x] for x in a)
+
+
+def _conjugate(images, c):
+    inv = [0] * len(c)
+    for i, x in enumerate(c):
+        inv[x] = i
+    return tuple(_compose(_compose(tuple(inv), g), c) for g in images)
+
+
+def _brute_force(n, k):
+    """Every tuple in S_k^(n-1), filtered by the relation check."""
+    perms = sorted(itertools.permutations(range(k)))
+    return [
+        images
+        for images in itertools.product(perms, repeat=n - 1)
+        if perm_rep_satisfies_relations(PermRep(k, images))
+    ]
+
+
+def _dedup_by_min_conjugate(reps):
+    """Reference dedup: keep a rep unless the least of its conjugates was seen."""
+    perms = list(itertools.permutations(range(reps[0].k)))
+    seen = set()
+    out = []
+    for rep in reps:
+        canon = min(_conjugate(rep.images, c) for c in perms)
+        if canon not in seen:
+            seen.add(canon)
+            out.append(rep)
+    return out
+
+
+class TestEnumPermRepsReference:
+    @pytest.mark.parametrize(
+        "n, k", [(n, k) for n in range(3, 7) for k in range(1, 4)] + [(4, 4)]
+    )
+    def test_matches_brute_force(self, n, k):
+        assert [r.images for r in enum_perm_reps(n, k)] == _brute_force(n, k)
+
+    @pytest.mark.parametrize(
+        "n, k, count",
+        [
+            (3, 5, 600),
+            (4, 5, 840),
+            (5, 5, 240),
+            (6, 5, 120),
+            (7, 5, 120),
+            (3, 6, 6480),
+            (4, 6, 9360),
+            (5, 6, 2160),
+            (6, 6, 2160),
+            (7, 6, 720),
+        ],
+    )
+    def test_pinned_counts(self, n, k, count):
+        reps = enum_perm_reps(n, k)
+        assert len(reps) == count
+        keys = [r.images for r in reps]
+        assert keys == sorted(set(keys))
+
+    def test_one_symbol(self):
+        for n in (3, 4, 9):
+            reps = enum_perm_reps(n, 1)
+            assert [r.images for r in reps] == [((0,),) * (n - 1)]
+            assert reps[0].is_cyclic()
+
+    def test_two_symbols(self):
+        for n in (3, 4, 9):
+            reps = enum_perm_reps(n, 2)
+            assert [r.images for r in reps] == [((0, 1),) * (n - 1), ((1, 0),) * (n - 1)]
+            assert len(enum_perm_reps(n, 2, dedup_conjugacy=True)) == 2
+
+    @pytest.mark.parametrize("n, k", [(3, 3), (4, 4), (5, 4), (4, 5), (6, 5)])
+    def test_closed_under_simultaneous_conjugation(self, n, k):
+        found = {r.images for r in enum_perm_reps(n, k)}
+        for c in itertools.permutations(range(k)):
+            assert {_conjugate(images, c) for images in found} == found
+
+    @pytest.mark.parametrize(
+        "n, k", [(3, 3), (4, 3), (4, 4), (5, 4), (4, 5), (5, 5), (3, 5), (6, 5)]
+    )
+    def test_dedup_matches_min_conjugate_reference(self, n, k):
+        full = enum_perm_reps(n, k)
+        slim = enum_perm_reps(n, k, dedup_conjugacy=True)
+        assert slim == _dedup_by_min_conjugate(full)
 
 
 class TestOrbitSpectrumCheck:

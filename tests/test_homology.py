@@ -70,6 +70,12 @@ class TestStandardLattice:
         lat = standard_lattice(2)
         assert lat.pair((1, 0, 1, 0), (0, 1, 0, 0)) == 1
 
+    def test_wrong_length_rejected(self):
+        lat = standard_lattice(2)
+        for x, y in [((1, 0), (0, 1)), ((1, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 1))]:
+            with pytest.raises(ValueError):
+                lat.pair(x, y)
+
     def test_genus_zero_unsupported(self):
         with pytest.raises(ValueError):
             standard_lattice(0)
@@ -178,6 +184,12 @@ class TestMonodromyRep:
         lat = standard_lattice(2)
         bad = [CurveClass((1, 0, 0, 0)), CurveClass((0, 0, 1, 0))]
         with pytest.raises(ValueError):
+            monodromy_rep(lat, bad, 1)
+
+    def test_wrong_length_class_rejected(self):
+        lat = standard_lattice(2)
+        bad = [CurveClass((1, 0)), CurveClass((0, 1))]
+        with pytest.raises(ValueError, match=r"\(1, 0\)"):
             monodromy_rep(lat, bad, 1)
 
 

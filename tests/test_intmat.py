@@ -142,3 +142,9 @@ def test_kernel_basis_pinned():
 def test_shape_mismatch_raises(op, a, b):
     with pytest.raises(ValueError):
         op(a, b)
+
+
+@pytest.mark.parametrize("v", [(1,), (1, 2, 3)])
+def test_mat_vec_length_mismatch_raises(v):
+    with pytest.raises(ValueError):
+        intmat.mat_vec(((1, 2), (3, 4)), v)
