@@ -63,11 +63,6 @@ def identity(n: int) -> BraidWord:
     return BraidWord(n, ())
 
 
-def letter(n: int, i: int) -> BraidWord:
-    """The single-letter word t_i (or its inverse for i < 0)."""
-    return BraidWord(n, (i,))
-
-
 def garside(n: int) -> BraidWord:
     """The positive half-twist word t_1 (t_2 t_1) ... (t_{n-1} ... t_1).
 
@@ -119,21 +114,23 @@ def gamma(n: int, i: int) -> BraidWord:
         raise ValueError(f"defined for even strand counts >= 6, got {n}")
     if i % 2 != 1 or not 1 <= i <= n - 1:
         raise ValueError(f"index {i} is not an odd generator index below {n}")
-    w = identity(n)
-    for k in (i, i + 1, i, i + 2, i + 1, i):
-        w = w * generator(n, k)
-    return w
+    return parse_letters(n, (i, i + 1, i, i + 2, i + 1, i))
 
 
-def free_reduce(w: BraidWord) -> BraidWord:
-    """Cancel adjacent letter/inverse pairs until none remain."""
+def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
+    """Free reduction of signed letters: cancel each letter against its inverse."""
     out: list[int] = []
-    for x in w.letters:
+    for x in letters:
         if out and out[-1] == -x:
             out.pop()
         else:
             out.append(x)
-    return BraidWord(w.n, tuple(out))
+    return tuple(out)
+
+
+def free_reduce(w: BraidWord) -> BraidWord:
+    """Cancel adjacent letter/inverse pairs until none remain."""
+    return BraidWord(w.n, reduce_letters(w.letters))
 
 
 def parse_letters(n: int, tokens: Iterable[int]) -> BraidWord:
@@ -142,15 +139,14 @@ def parse_letters(n: int, tokens: Iterable[int]) -> BraidWord:
     A token k > 0 contributes generator(n, k); k < 0 contributes its inverse.
     Index 0 (mod n) is accepted for n >= 3 and expanded on parse.
     """
-    w = identity(n)
+    if n < 2:
+        raise ValueError(f"strand count must be at least 2, got {n}")
+    out: list[int] = []
     for t in tokens:
         j = abs(t) % n
-        if 1 <= j <= n - 1:
-            g = BraidWord(n, (j,))
-        else:
-            g = generator(n, abs(t))
-        w = w * (g if t >= 0 else g.inverse())
-    return w
+        g = (j,) if j else generator(n, 0).letters
+        out.extend(g if t >= 0 else (-x for x in reversed(g)))
+    return BraidWord(n, tuple(out))
 
 
 def parse_braid(text: str) -> BraidWord:

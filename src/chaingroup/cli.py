@@ -13,7 +13,8 @@ import argparse
 import os
 import sys
 
-from . import braids, finite, graphs, homology, homs, oracle, riemann_hurwitz as rh
+from . import braids, finite, graphs, homology, homs, oracle, suites
+from . import riemann_hurwitz as rh
 from .braids import BraidWord
 
 
@@ -79,10 +80,6 @@ def _cmd_braid(args) -> int:
 # ------------------------------------------------------------------ hom ----
 
 
-def _print_hom(h: homs.BraidHom) -> None:
-    print(homs.format_hom(h))
-
-
 def _cmd_hom(args) -> int:
     if args.op == "verify":
         h = homs.parse_hom(_read_input(args.file))
@@ -93,12 +90,12 @@ def _cmd_hom(args) -> int:
     if args.op == "theorem4":
         gamma = _word(args.n, args.gamma or "")
         h = homs.theorem4_endo(args.n, gamma, args.eps, args.k)
-        _print_hom(h)
+        print(homs.format_hom(h))
         print(f"check=conjugated-power-endomorphism n={args.n} eps={args.eps} k={args.k}")
         return 0
     if args.op == "cable":
         h = homs.cabling_b3(args.k)
-        _print_hom(h)
+        print(homs.format_hom(h))
         print(f"check=cable-half-twist k={args.k} target={3 * args.k}")
         return 0
     if args.op == "cyclic":
@@ -337,176 +334,8 @@ def _cmd_rh(args) -> int:
 # ---------------------------------------------------------------- suite ----
 
 
-def _suite_identities() -> list[tuple[str, bool]]:
-    items = []
-    for n in range(3, 9):
-        delta = braids.flip_delta(n)
-        half = braids.garside(n)
-        ok = all(
-            oracle.are_equal(
-                delta * braids.generator(n, i) * delta.inverse(), braids.generator(n, i + 1)
-            )
-            for i in range(n)
-        )
-        items.append((f"index-shift-conjugation n={n}", ok))
-        ok = all(
-            oracle.are_equal(
-                half * BraidWord(n, (i,)) * half.inverse(), BraidWord(n, (n - i,))
-            )
-            for i in range(1, n)
-        )
-        items.append((f"half-twist-reversal n={n}", ok))
-        items.append((f"center-generator n={n}", oracle.are_equal(delta**n, half**2)))
-        items.append((f"center-commutes n={n}", oracle.is_central(half**2)))
-    return items
-
-
-_TABLE1 = [
-    (3, 3, 3, 9),
-    (3, 4, 4, 16),
-    (3, 5, 5, 25),
-    (4, 3, 3, 27),
-    (4, 4, 2, 32),
-    (4, 4, 4, 64),
-    (4, 5, 5, 125),
-]
-
-
-def _suite_table1() -> list[tuple[str, bool]]:
-    import random
-
-    items = []
-    for r_amb, p, d, expected in _TABLE1:
-        params = finite.LnParams(r_amb - 1, p, p, d, 0)
-        ok = (
-            finite.validate_params(params)
-            and finite.ln_group(params).cardinality() == expected == d * p ** (r_amb - 2)
-        )
-        items.append((f"difference-subgroup-order r={r_amb} p={p} d={d} -> {expected}", ok))
-    rng = random.Random(20260808)
-    done = 0
-    all_ok = True
-    while done < 50:
-        r = rng.choice([3, 4, 5])
-        m = rng.randint(1, 6)
-        q = rng.randint(1, 3)
-        d = rng.choice([dd for dd in range(1, m + 1) if m % dd == 0])
-        s = m * rng.randint(0, 4)
-        params = finite.LnParams(r, q * m, m, d, s)
-        if not finite.validate_params(params):
-            continue
-        all_ok &= finite.ln_group(params).cardinality() == q * d * m ** (r - 1)
-        done += 1
-    items.append(("random-quotients-match-cardinality-law x50", all_ok))
-    return items
-
-
-def _suite_graphs(budget: int) -> list[tuple[str, bool]]:
-    items = []
-    for m in range(1, min(8, budget) + 1):
-        brute = graphs.brute_enumerate(m, budget=budget)
-        keys_brute = {graphs.canonical_key(g) for g in brute}
-        keys_gen = {
-            graphs.canonical_key(graphs.generate(c, m)) for c in graphs.all_classes(m)
-        }
-        items.append((f"bidirectional-coverage m={m}", keys_brute == keys_gen))
-    items.append(
-        (
-            "loop-rose-classification",
-            graphs.classify(graphs.generate(graphs.TypeA(1, 1, 12), 12))
-            == graphs.TypeA(1, 1, 12),
-        )
-    )
-    items.append(
-        (
-            "two-orbit-bundles-classification",
-            graphs.classify(graphs.generate(graphs.TypeB(1, 2, 6), 12))
-            == graphs.TypeB(1, 2, 6),
-        )
-    )
-    items.append(
-        (
-            "bipartite-3-4-classification",
-            graphs.classify(graphs.generate(graphs.TypeB(1, 3, 4), 12))
-            == graphs.TypeB(1, 3, 4),
-        )
-    )
-    special = graphs.generate(graphs.TypeB(3, 4, 1), 12)
-    items.append(("equality-case-closed-genus-6", graphs.genus_audit(special, 6, 0).feasible))
-    items.append(
-        ("equality-case-rejected-with-boundary", not graphs.genus_audit(special, 6, 1).feasible)
-    )
-    return items
-
-
-def _suite_perm(budget: int) -> list[tuple[str, bool | None]]:
-    items: list[tuple[str, bool | None]] = []
-
-    def run(n, k, pred, label):
-        if k > budget:
-            items.append((f"{label} (skipped, budget={budget})", None))
-            return
-        reps = finite.enum_perm_reps(n, k, budget=budget)
-        items.append((label, pred(reps)))
-
-    for k in range(1, 5):
-        run(5, k, lambda reps: all(r.is_cyclic() for r in reps), f"n=5 k={k} all-cyclic")
-    for k in range(1, 6):
-        run(6, k, lambda reps: all(r.is_cyclic() for r in reps), f"n=6 k={k} all-cyclic")
-    run(
-        4,
-        3,
-        lambda reps: all(r.images[0] == r.images[2] for r in reps),
-        "n=4 k=3 first-equals-third",
-    )
-    run(
-        6,
-        6,
-        lambda reps: any(not r.is_cyclic() for r in reps),
-        "n=6 k=6 noncyclic-exists",
-    )
-    return items
-
-
-def _suite_rh() -> list[tuple[str, bool]]:
-    items = []
-    infeasible = all(
-        not rh.rh_check(rh.RamificationData(-4, 8, (4,), chi_q)) for chi_q in (1, -1, -3)
-    )
-    items.append(("order-8-single-branch-point-infeasible", infeasible))
-    ob = rh.order_bounds(2, 0)
-    items.append(("closed-genus-2-bounds", (ob.finite_subgroup_max, ob.cyclic_max) == (84, 10)))
-    items.append(
-        ("genus-bounds-scale", rh.order_bounds(5, 0).finite_subgroup_max == 84 * 4)
-    )
-    g1 = [rh.order_bounds(1, b).genus1_max for b in (0, 1, 2, 3, 4, 5, 6)]
-    items.append(("genus-1-order-table", g1 == [6, 6, 6, 3, 2, 1, 1]))
-    items.append(
-        ("power-growth-r", all(not rh.inequality7_holds(r) for r in range(3, 11)))
-    )
-    items.append(
-        ("power-growth-r-large-m", all(not rh.inequality8_holds(r) for r in range(3, 11)))
-    )
-    items.append(
-        ("exponential-genus-growth", all(not rh.inequality10_holds(g) for g in range(31)))
-    )
-    return items
-
-
 def _cmd_suite(args) -> int:
-    budget = _budget(8)
-    if args.name == "identities":
-        items = _suite_identities()
-    elif args.name == "table1":
-        items = _suite_table1()
-    elif args.name == "graphs":
-        items = _suite_graphs(budget)
-    elif args.name == "perm":
-        items = _suite_perm(min(budget, 6))
-    elif args.name == "rh":
-        items = _suite_rh()
-    else:
-        raise ValueError(f"unknown suite {args.name!r}")
+    items = suites.SUITES[args.name](_budget(8))
     failed = 0
     for label, ok in items:
         if ok is None:
@@ -634,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rh)
 
     p = sub.add_parser("suite", help="named verification bundles")
-    p.add_argument("name", choices=("identities", "table1", "graphs", "perm", "rh"))
+    p.add_argument("name", choices=tuple(suites.SUITES))
     p.set_defaults(func=_cmd_suite)
 
     return parser

@@ -189,16 +189,19 @@ def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def perm_rep_satisfies_relations(rep: PermRep) -> bool:
+    """Each image braids with its predecessor and commutes with the distinct
+    images two or more steps back: O(N * min(N, k!)) compositions, not O(N^2)."""
     gs = rep.images
-    for i in range(len(gs)):
-        for j in range(i + 1, len(gs)):
-            a, b = gs[i], gs[j]
-            if j - i == 1:
-                if _pmul(_pmul(a, b), a) != _pmul(_pmul(b, a), b):
-                    return False
-            else:
-                if _pmul(a, b) != _pmul(b, a):
-                    return False
+    earlier: set[tuple[int, ...]] = set()
+    for i in range(1, len(gs)):
+        a, b = gs[i - 1], gs[i]
+        if _pmul(_pmul(a, b), a) != _pmul(_pmul(b, a), b):
+            return False
+        if i >= 2:
+            earlier.add(gs[i - 2])
+        for c in earlier:
+            if _pmul(c, b) != _pmul(b, c):
+                return False
     return True
 
 
@@ -224,9 +227,9 @@ def enum_perm_reps(
 
     perms = sorted(itertools.permutations(range(k)))
     size = len(perms)
-    classes: dict[tuple[int, ...], list[int]] = {}
+    classes: dict[tuple[int, ...], list[int]] = {}  # cycle type -> permutations
     for i, p in enumerate(perms):
-        classes.setdefault(_cycle_type(p), []).append(i)
+        classes.setdefault(tuple(sorted(map(len, cycles(p)))), []).append(i)
 
     braid_next: list[list[int]] = [[] for _ in range(size)]
     comm_mask = [0] * size
@@ -286,20 +289,21 @@ def enum_perm_reps(
     return reps
 
 
-def _cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
-    """Sorted cycle lengths of p, its conjugacy class in the symmetric group."""
-    lengths = []
+def cycles(p: Sequence[int]) -> list[tuple[int, ...]]:
+    """The cycles of p, fixed points included, each starting at its least
+    element and listed in order of that element."""
     seen = [False] * len(p)
+    out = []
     for start in range(len(p)):
-        length = 0
+        cyc = []
         x = start
         while not seen[x]:
             seen[x] = True
+            cyc.append(x)
             x = p[x]
-            length += 1
-        if length:
-            lengths.append(length)
-    return tuple(sorted(lengths))
+        if cyc:
+            out.append(tuple(cyc))
+    return out
 
 
 def _inv(p: tuple[int, ...]) -> tuple[int, ...]:

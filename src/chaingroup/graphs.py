@@ -17,6 +17,8 @@ import dataclasses
 import math
 from typing import Iterator, Sequence
 
+from . import finite
+
 
 @dataclasses.dataclass(frozen=True)
 class ActionGraph:
@@ -84,14 +86,7 @@ class ActionGraph:
         return len(seen) == self.num_vertices
 
     def is_edge_transitive(self) -> bool:
-        if not self.edges:
-            return False
-        orbit = {0}
-        j = self.eperm[0]
-        while j not in orbit:
-            orbit.add(j)
-            j = self.eperm[j]
-        return len(orbit) == self.num_edges
+        return len(finite.cycles(self.eperm)) == 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,23 +159,6 @@ def generate(cls: GraphClass, m: int) -> ActionGraph:
     return g
 
 
-def _vperm_cycles(g: ActionGraph) -> list[list[int]]:
-    seen: set[int] = set()
-    cycles = []
-    for start in range(g.num_vertices):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        x = g.vperm[start]
-        while x != start:
-            cyc.append(x)
-            seen.add(x)
-            x = g.vperm[x]
-        cycles.append(cyc)
-    return cycles
-
-
 def classify(g: ActionGraph) -> GraphClass:
     """The shape parameters of a connected edge-transitive action graph."""
     if not g.is_connected():
@@ -188,7 +166,7 @@ def classify(g: ActionGraph) -> GraphClass:
     if not g.is_edge_transitive():
         raise ValueError("the action is not transitive on edges")
     m = g.num_edges
-    cycles = _vperm_cycles(g)
+    cycles = finite.cycles(g.vperm)
     cycle_of = {}
     for idx, cyc in enumerate(cycles):
         for x in cyc:
@@ -454,18 +432,5 @@ def format_graph(g: ActionGraph) -> str:
 
 
 def _cycles_str(perm: Sequence[int]) -> str:
-    seen: set[int] = set()
-    parts = []
-    for start in range(len(perm)):
-        if start in seen or perm[start] == start:
-            seen.add(start)
-            continue
-        cyc = [start]
-        seen.add(start)
-        x = perm[start]
-        while x != start:
-            cyc.append(x)
-            seen.add(x)
-            x = perm[x]
-        parts.append("(" + " ".join(map(str, cyc)) + ")")
+    parts = ["(" + " ".join(map(str, c)) + ")" for c in finite.cycles(perm) if len(c) > 1]
     return "".join(parts) or "()"

@@ -48,11 +48,11 @@ class BraidHom:
         """Image of a source word, by letter-wise substitution."""
         if w.n != self.n:
             raise ValueError(f"word lives on {w.n} strands, homomorphism source has {self.n}")
-        out = braids.identity(self.m)
+        out: list[int] = []
         for x in w.letters:
-            img = self.images[abs(x) - 1]
-            out = out * (img if x > 0 else img.inverse())
-        return out
+            img = self.images[abs(x) - 1].letters
+            out.extend(img if x > 0 else (-y for y in reversed(img)))
+        return BraidWord(self.m, tuple(out))
 
 
 def identity_hom(n: int) -> BraidHom:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .braids import reduce_letters
+
 
 def backend() -> str:
     """Name of the kernel implementation; there is only the pure-Python one."""
@@ -61,7 +63,7 @@ def apply_letters(
     x_{i+1} -> x_i; the letter -i applies the inverse substitution. The first
     letter of the braid word acts first. Words stay reduced throughout.
     """
-    words = [list(w) for w in images]
+    words = [tuple(w) for w in images]
     for s in letters:
         i = abs(s)
         if not 1 <= i <= n - 1:
@@ -71,13 +73,5 @@ def apply_letters(
             table = {i: (i, j, -i), -i: (i, -j, -i), j: (i,), -j: (-i,)}
         else:
             table = {i: (j,), -i: (-j,), j: (-j, i, j), -j: (-j, -i, j)}
-        for idx, w in enumerate(words):
-            out: list[int] = []
-            for t in w:
-                for r in table.get(t, (t,)):
-                    if out and out[-1] == -r:
-                        out.pop()
-                    else:
-                        out.append(r)
-            words[idx] = out
-    return tuple(tuple(w) for w in words)
+        words = [reduce_letters(r for t in w for r in table.get(t, (t,))) for w in words]
+    return tuple(words)

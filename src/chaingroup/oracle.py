@@ -18,7 +18,7 @@ import dataclasses
 from typing import Mapping
 
 from . import kernel
-from .braids import BraidWord
+from .braids import BraidWord, reduce_letters
 
 
 def identity_images(n: int) -> tuple[tuple[int, ...], ...]:
@@ -37,17 +37,12 @@ class FreeAutomorphism:
 
     def apply(self, word: tuple[int, ...]) -> tuple[int, ...]:
         """Image of an arbitrary reduced word under this automorphism."""
-        out: list[int] = []
-        for t in word:
+
+        def image(t: int):
             img = self.images[abs(t) - 1]
-            if t < 0:
-                img = tuple(-x for x in reversed(img))
-            for r in img:
-                if out and out[-1] == -r:
-                    out.pop()
-                else:
-                    out.append(r)
-        return tuple(out)
+            return (-x for x in reversed(img)) if t < 0 else img
+
+        return reduce_letters(r for t in word for r in image(t))
 
 
 def artin_action(w: BraidWord) -> FreeAutomorphism:

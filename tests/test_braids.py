@@ -160,6 +160,8 @@ class TestFreeReduce:
         n, ls = data
         w = BraidWord(n, ls)
         assert oracle.are_equal(braids.free_reduce(w), w)
+        out = braids.reduce_letters(iter(ls))
+        assert out == braids.free_reduce(w).letters and all(a != -b for a, b in zip(out, out[1:]))
 
 
 class TestTextFormat:
@@ -175,3 +177,25 @@ class TestTextFormat:
     def test_header_required(self):
         with pytest.raises(ValueError):
             braids.parse_braid("1 2 1")
+
+
+class TestParseLetters:
+    @given(
+        st.integers(3, 7).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(st.integers(-3 * n, 3 * n), max_size=20))
+        )
+    )
+    def test_matches_generator_fold(self, data):
+        """Tokens 0, negative and |t| >= n parse like one generator per token."""
+        n, tokens = data
+        w = braids.identity(n)
+        for t in tokens:
+            g = braids.generator(n, abs(t))
+            w = w * (g if t >= 0 else g.inverse())
+        assert braids.parse_letters(n, tokens) == w
+
+    def test_rejects_too_few_strands(self):
+        with pytest.raises(ValueError):
+            braids.parse_letters(0, [1])
+        with pytest.raises(ValueError):
+            braids.parse_letters(2, [2])

@@ -227,12 +227,16 @@ class TestRhCommands:
 
 
 class TestSuites:
-    @pytest.mark.parametrize("name", ["identities", "table1", "graphs", "perm", "rh"])
-    def test_suite_passes(self, capsys, name):
+    @pytest.mark.parametrize(
+        "name, items",
+        [("identities", 24), ("table1", 8), ("graphs", 13), ("perm", 11), ("rh", 7)],
+        ids=["identities", "table1", "graphs", "perm", "rh"],
+    )
+    def test_suite_passes(self, capsys, name, items):
         code, out, _ = run(capsys, "suite", name)
         assert code == 0
         assert "[FAIL]" not in out
-        assert out.splitlines()[-1].startswith(f"suite={name}")
+        assert out.splitlines()[-1] == f"suite={name} items={items} failed=0"
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

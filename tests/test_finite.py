@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +8,7 @@ from chaingroup.finite import (
     AbelianInvariants,
     LnParams,
     PermRep,
+    cycles,
     enum_perm_reps,
     ln_group,
     orbit_spectrum_check,
@@ -18,16 +18,7 @@ from chaingroup.finite import (
     smith_normal_form,
     validate_params,
 )
-
-TABLE1 = [
-    (3, 3, 3, 9),
-    (3, 4, 4, 16),
-    (3, 5, 5, 25),
-    (4, 3, 3, 27),
-    (4, 4, 2, 32),
-    (4, 4, 4, 64),
-    (4, 5, 5, 125),
-]
+from chaingroup.suites import TABLE1, random_quotients_ok
 
 
 class TestSmithNormalForm:
@@ -118,19 +109,7 @@ class TestLnGroup:
         assert cards == {32}
 
     def test_random_tuples_match_formula(self):
-        rng = random.Random(6)
-        done = 0
-        while done < 50:
-            r = rng.choice([3, 4, 5])
-            m = rng.randint(1, 6)
-            q = rng.randint(1, 3)
-            d = rng.choice([dd for dd in range(1, m + 1) if m % dd == 0])
-            s = m * rng.randint(0, 4)
-            params = LnParams(r, q * m, m, d, s)
-            if not validate_params(params):
-                continue
-            assert ln_group(params).cardinality() == q * d * m ** (r - 1)
-            done += 1
+        assert random_quotients_ok(6)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -189,14 +168,71 @@ def _conjugate(images, c):
     return tuple(_compose(_compose(tuple(inv), g), c) for g in images)
 
 
+def _satisfies_relations_pairwise(images):
+    """Reference relation check over every pair of images, O(N^2)."""
+
+    def holds(i, a, j, b):
+        ab, ba = _compose(a, b), _compose(b, a)
+        return _compose(ab, a) == _compose(ba, b) if j - i == 1 else ab == ba
+
+    return all(holds(*x, *y) for x, y in itertools.combinations(enumerate(images), 2))
+
+
 def _brute_force(n, k):
-    """Every tuple in S_k^(n-1), filtered by the relation check."""
+    """Every tuple in S_k^(n-1), filtered by the pairwise relation check."""
     perms = sorted(itertools.permutations(range(k)))
     return [
         images
         for images in itertools.product(perms, repeat=n - 1)
-        if perm_rep_satisfies_relations(PermRep(k, images))
+        if _satisfies_relations_pairwise(images)
     ]
+
+
+def _transposition(k, i, j):
+    p = list(range(k))
+    p[i], p[j] = j, i
+    return tuple(p)
+
+
+def _image_lists(k):
+    """2..6 permutations of k symbols, transpositions often: they braid or commute."""
+    swaps = [_transposition(k, i, j) for i, j in itertools.combinations(range(k), 2)]
+    image = st.one_of(st.permutations(range(k)).map(tuple), st.sampled_from(swaps))
+    return st.lists(image, min_size=2, max_size=6)
+
+
+class TestRelationCheck:
+    @given(st.integers(2, 4).flatmap(_image_lists))
+    def test_matches_pairwise_reference(self, images):
+        rep = PermRep(len(images[0]), tuple(images))
+        assert perm_rep_satisfies_relations(rep) == _satisfies_relations_pairwise(rep.images)
+
+    def test_first_image_must_commute_with_third(self):
+        a, b, c = _transposition(4, 0, 1), _transposition(4, 1, 2), _transposition(4, 0, 2)
+        assert perm_rep_satisfies_relations(PermRep(4, (a, b, a)))
+        assert not perm_rep_satisfies_relations(PermRep(4, (a, b, c)))
+
+    def test_long_cyclic_chain(self):
+        swap = (1, 0, 2)
+        assert perm_rep_satisfies_relations(PermRep(3, (swap,) * 2000))
+        broken = (swap,) * 1000 + ((0, 2, 1),) + (swap,) * 999
+        assert not perm_rep_satisfies_relations(PermRep(3, broken))
+
+
+class TestCycles:
+    def test_examples(self):
+        assert cycles((0,)) == [(0,)]
+        assert cycles((1, 2, 0, 3)) == [(0, 1, 2), (3,)]
+        assert cycles((2, 3, 0, 1)) == [(0, 2), (1, 3)]
+        assert cycles(()) == []
+
+    @given(st.integers(1, 7).flatmap(lambda k: st.permutations(range(k))))
+    def test_partition_in_order_of_least_element(self, p):
+        cs = cycles(p)
+        assert sorted(x for c in cs for x in c) == list(range(len(p)))
+        assert [c[0] for c in cs] == sorted(min(c) for c in cs)
+        for c in cs:
+            assert [p[x] for x in c] == list(c[1:] + c[:1])
 
 
 def _dedup_by_min_conjugate(reps):

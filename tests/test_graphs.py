@@ -179,6 +179,17 @@ class TestTextFormat:
         assert parsed.edges == g.edges
         assert parsed.vperm == g.vperm and parsed.eperm == g.eperm
 
+    @pytest.mark.parametrize(
+        "cls, m, line",
+        [
+            (TypeB(1, 3, 4), 12, "action vperm=(1 2 3) eperm=(0 1 2 3 4 5 6 7 8 9 10 11)"),
+            (TypeA(5, 2, 1), 5, "action vperm=(0 1 2 3 4) eperm=(0 1 2 3 4)"),
+            (TypeA(1, 1, 2), 2, "action vperm=() eperm=(0 1)"),
+        ],
+    )
+    def test_action_line_omits_fixed_points(self, cls, m, line):
+        assert format_graph(generate(cls, m)).splitlines()[-1] == line
+
     def test_labels_round_trip(self):
         base = generate(TypeA(1, 1, 3), 3)
         labeled = ActionGraph(1, base.edges, base.vperm, base.eperm, labels=((2, 1),))

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from chaingroup import braids, homs, oracle
 from chaingroup.braids import BraidWord
@@ -17,6 +18,15 @@ class TestBraidHom:
         h = homs.identity_hom(4)
         w = BraidWord(4, (1, -2, 3))
         assert h.apply(w).letters == w.letters
+
+    @given(st.lists(st.sampled_from((1, 2, -1, -2)), max_size=30))
+    def test_apply_matches_concatenation(self, ls):
+        h = homs.cabling_b3(2)
+        expected = braids.identity(6)
+        for x in ls:
+            img = h.images[abs(x) - 1]
+            expected = expected * (img if x > 0 else img.inverse())
+        assert h.apply(BraidWord(3, tuple(ls))) == expected
 
     def test_image_count_enforced(self):
         with pytest.raises(ValueError):
