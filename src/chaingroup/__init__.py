@@ -7,5 +7,3 @@ representations, edge-transitive cyclic graph actions, and Riemann-Hurwitz
 feasibility arithmetic. Everything is exact: Python integers and rationals,
 no floating point.
 """
-
-__version__ = "0.1.0"

@@ -103,36 +103,6 @@ def exponent(w: BraidWord) -> int:
     return sum(1 if x > 0 else -1 for x in w.letters)
 
 
-def gamma(n: int, i: int) -> BraidWord:
-    """The six-letter product t_i t_{i+1} t_i t_{i+2} t_{i+1} t_i.
-
-    Out-of-range indices i+1, i+2 wrap through generator(n, .), so the top
-    odd index is legal. Conjugation by this word swaps t_i and t_{i+2} and
-    fixes the other odd-index generators.
-    """
-    if n < 6 or n % 2 != 0:
-        raise ValueError(f"defined for even strand counts >= 6, got {n}")
-    if i % 2 != 1 or not 1 <= i <= n - 1:
-        raise ValueError(f"index {i} is not an odd generator index below {n}")
-    return parse_letters(n, (i, i + 1, i, i + 2, i + 1, i))
-
-
-def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
-    """Free reduction of signed letters: cancel each letter against its inverse."""
-    out: list[int] = []
-    for x in letters:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
-def free_reduce(w: BraidWord) -> BraidWord:
-    """Cancel adjacent letter/inverse pairs until none remain."""
-    return BraidWord(w.n, reduce_letters(w.letters))
-
-
 def parse_letters(n: int, tokens: Iterable[int]) -> BraidWord:
     """Assemble a word from raw signed indices, normalizing each modulo n.
 
@@ -147,15 +117,6 @@ def parse_letters(n: int, tokens: Iterable[int]) -> BraidWord:
         g = (j,) if j else generator(n, 0).letters
         out.extend(g if t >= 0 else (-x for x in reversed(g)))
     return BraidWord(n, tuple(out))
-
-
-def parse_braid(text: str) -> BraidWord:
-    """Parse the text format: a header token n=<int>, then signed indices."""
-    tokens = text.split()
-    if not tokens or not tokens[0].startswith("n="):
-        raise ValueError("braid text must start with a n=<int> header token")
-    n = int(tokens[0][2:])
-    return parse_letters(n, (int(t) for t in tokens[1:]))
 
 
 def format_braid(w: BraidWord) -> str:

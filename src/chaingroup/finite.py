@@ -10,8 +10,7 @@ cardinality comes out as (M/m) * d * m^(r-1).
 The permutation side enumerates all tuples of permutations satisfying the
 braid and commutation relations by a depth-first search that only pairs
 permutations of one cycle type (images joined by braid relations are
-conjugate), and checks the orbit-size law |orbit| = l * C(r, k) for
-equivariant spectra.
+conjugate).
 """
 
 from __future__ import annotations
@@ -311,96 +310,3 @@ def _inv(p: tuple[int, ...]) -> tuple[int, ...]:
     for i, x in enumerate(p):
         out[x] = i
     return tuple(out)
-
-
-def orbit_spectrum_check(
-    gens_set: Sequence[dict],
-    gens_colors: Sequence[tuple[int, ...]],
-    spectrum: dict,
-    e,
-    r: int,
-) -> tuple[int, bool]:
-    """Verify the orbit-size law |orbit(e)| = l * C(r, k) and return l.
-
-    gens_set are the generator actions on the finite set (dicts element ->
-    element); gens_colors the matching permutations of the r colors. The
-    color action must generate the full symmetric group, and the spectrum
-    (element -> frozenset of colors) must be equivariant; k is the spectrum
-    size of e.
-    """
-    if len(gens_set) != len(gens_colors):
-        raise ValueError("need one color permutation per set generator")
-    for g in gens_colors:
-        if sorted(g) != list(range(r)):
-            raise ValueError("color maps must be permutations of range(r)")
-    if _generated_order(gens_colors, r) != math.factorial(r):
-        raise ValueError("color action must be the full symmetric action")
-    for gs, gc in zip(gens_set, gens_colors):
-        for x, colors in spectrum.items():
-            if frozenset(gc[c] for c in colors) != frozenset(spectrum[gs[x]]):
-                raise ValueError("spectrum is not equivariant")
-    orbit = {e}
-    frontier = [e]
-    while frontier:
-        x = frontier.pop()
-        for gs in gens_set:
-            y = gs[x]
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    k = len(spectrum[e])
-    binom = math.comb(r, k)
-    if len(orbit) % binom != 0:
-        raise ValueError(f"orbit size {len(orbit)} is not a multiple of C({r},{k}) = {binom}")
-    ell = len(orbit) // binom
-    return ell, True
-
-
-def _generated_order(gens: Sequence[tuple[int, ...]], r: int) -> int:
-    ident = tuple(range(r))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        p = frontier.pop()
-        for g in gens:
-            q = _pmul(p, g)
-            if q not in seen:
-                seen.add(q)
-                frontier.append(q)
-    return len(seen)
-
-
-def parse_params(text: str) -> LnParams:
-    """Parse 'r M m d s' from one line."""
-    parts = text.split()
-    if len(parts) != 5:
-        raise ValueError("parameter line must contain exactly r M m d s")
-    r, M, m, d, s = (int(x) for x in parts)
-    return LnParams(r, M, m, d, s)
-
-
-def parse_permutation(text: str, k: int) -> tuple[int, ...]:
-    """Parse cycle notation '(1 2)(3 4)' or an image map '1->2 2->1 ...'.
-
-    Symbols are 1-based on input and 0-based internally.
-    """
-    text = text.strip()
-    img = list(range(k))
-    if "->" in text:
-        for tok in text.split():
-            a, _, b = tok.partition("->")
-            img[int(a) - 1] = int(b) - 1
-    elif text and text != "()":
-        if not text.startswith("("):
-            raise ValueError("permutation must be cycles or an image map")
-        for cyc in text.replace(")", ")|").split("|"):
-            cyc = cyc.strip().strip("()")
-            if not cyc:
-                continue
-            elems = [int(t) - 1 for t in cyc.replace(",", " ").split()]
-            for a, b in zip(elems, elems[1:] + elems[:1]):
-                img[a] = b
-    perm = tuple(img)
-    if sorted(perm) != list(range(k)):
-        raise ValueError(f"not a permutation of 1..{k}: {text!r}")
-    return perm

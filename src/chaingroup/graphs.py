@@ -233,10 +233,6 @@ def canonical_key(g: ActionGraph) -> tuple:
     return min(_encodings(g))
 
 
-def action_graphs_isomorphic(g1: ActionGraph, g2: ActionGraph) -> bool:
-    return canonical_key(g1) == canonical_key(g2)
-
-
 def brute_enumerate(m: int, budget: int = 8) -> list[ActionGraph]:
     """All connected m-edge graphs with an edge-transitive cyclic action.
 
@@ -355,20 +351,6 @@ def genus_audit(g: ActionGraph, genus: int, b: int) -> GenusAuditReport:
     return GenusAuditReport(m, c, h, within, corank_ok, equality, equality_allowed, feasible)
 
 
-def euler_consistency(g: ActionGraph, genus: int, b: int) -> bool:
-    """Additivity of the Euler characteristic over vertex subsurfaces.
-
-    Each vertex stands for a subsurface with the labeled genus and natural
-    boundary count, plus one boundary circle per incident edge.
-    """
-    if g.labels is None:
-        raise ValueError("euler bookkeeping needs vertex labels")
-    total = 0
-    for (gv, nat), deg in zip(g.labels, g.degrees()):
-        total += 2 - 2 * gv - deg - nat
-    return total == 2 - 2 * genus - b
-
-
 def parse_graph(text: str) -> ActionGraph:
     """Parse: vertices=<int>; edge lines 'u v'; optional 'label v genus b'
     lines; final 'action vperm=<cycles> eperm=<cycles>' line."""
@@ -376,6 +358,8 @@ def parse_graph(text: str) -> ActionGraph:
     if not lines or not lines[0].startswith("vertices="):
         raise ValueError("graph text must start with vertices=<int>")
     nv = int(lines[0][9:])
+    if nv < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {nv}")
     edges: list[tuple[int, int]] = []
     labels: dict[int, tuple[int, int]] = {}
     action_line = None
@@ -384,6 +368,8 @@ def parse_graph(text: str) -> ActionGraph:
             action_line = ln[len("action "):]
         elif ln.startswith("label "):
             _, v, gv, bv = ln.split()
+            if not 0 <= int(v) < nv:
+                raise ValueError(f"label vertex {v} out of range 0..{nv - 1}")
             labels[int(v)] = (int(gv), int(bv))
         else:
             u, w = ln.split()
@@ -413,6 +399,8 @@ def _perm_from_cycles(text: str, size: int) -> tuple[int, ...]:
         if not cyc:
             continue
         elems = [int(t) for t in cyc.replace(",", " ").split()]
+        if any(not 0 <= a < size for a in elems):
+            raise ValueError(f"cycle symbol out of range 0..{size - 1}: {text!r}")
         for a, b in zip(elems, elems[1:] + elems[:1]):
             img[a] = b
     if sorted(img) != list(range(size)):

@@ -22,23 +22,6 @@ from .intmat import Matrix, Vector
 
 
 @dataclasses.dataclass(frozen=True)
-class SurfaceSig:
-    """Genus and boundary count of a surface of negative Euler characteristic."""
-
-    g: int
-    b: int
-
-    def __post_init__(self):
-        if self.g < 0 or self.b < 0:
-            raise ValueError("genus and boundary count must be nonnegative")
-        if 2 - 2 * self.g - self.b > -1:
-            raise ValueError(f"surface ({self.g},{self.b}) has Euler characteristic > -1")
-
-    def euler(self) -> int:
-        return 2 - 2 * self.g - self.b
-
-
-@dataclasses.dataclass(frozen=True)
 class SkewLattice:
     """An integer lattice with a skew-symmetric pairing <x,y> = x^T J y."""
 
@@ -212,16 +195,6 @@ def chain_product_square(lat: SkewLattice, chain: Sequence[CurveClass]) -> Matri
     return intmat.mat_mul(prod, prod)
 
 
-def apply_transvection(lat: SkewLattice, rep: Sequence[Matrix], v: Matrix) -> list[Matrix]:
-    """Element-wise products M_i * V for a direction V centralizing the rep."""
-    if not is_pairing_preserving(lat, v):
-        raise ValueError("direction must preserve the pairing")
-    for m in rep:
-        if intmat.mat_mul(m, v) != intmat.mat_mul(v, m):
-            raise ValueError("direction must commute with every matrix of the rep")
-    return [intmat.mat_mul(m, v) for m in rep]
-
-
 def _rank_one_square(c: Matrix) -> Vector | None:
     """Solve c = b b^T for a primitive integer b, else None."""
     n = len(c)
@@ -353,27 +326,6 @@ class CentralExtElement:
         return self.mat == intmat.identity(len(self.mat))
 
 
-def check_transvection_pair(
-    r1: Sequence[CentralExtElement], r2: Sequence[CentralExtElement]
-) -> CentralExtElement:
-    """Common central direction g with r2_i = r1_i * g, or an error.
-
-    Both lists must project to the same matrices; the per-generator defects
-    r1_i^{-1} r2_i must then all coincide.
-    """
-    if len(r1) != len(r2) or not r1:
-        raise ValueError("need two generator lists of equal positive length")
-    for a, b in zip(r1, r2):
-        if a.mat != b.mat:
-            raise ValueError("projections differ: matrix parts do not agree")
-    defects = [a.inverse() * b for a, b in zip(r1, r2)]
-    if any(not d.is_central() for d in defects):
-        raise ValueError("defect is not central")
-    if any(d != defects[0] for d in defects):
-        raise ValueError("defects are not all equal")
-    return defects[0]
-
-
 def lift_adjust(lifts: Sequence[CentralExtElement]) -> list[CentralExtElement]:
     """Correct braid-relation defects of lifted generators by central factors.
 
@@ -423,17 +375,6 @@ def parse_matrix(text: str) -> Matrix:
 
 def format_matrix(m: Matrix) -> str:
     return "\n".join([f"rank={len(m)}", *(" ".join(map(str, row)) for row in m)])
-
-
-def parse_chain(text: str) -> list[CurveClass]:
-    """Parse the text format: k=<int>, then k vector lines."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].strip().startswith("k="):
-        raise ValueError("chain text must start with k=<int>")
-    k = int(lines[0].strip()[2:])
-    if len(lines) != k + 1:
-        raise ValueError(f"expected {k} vector lines, got {len(lines) - 1}")
-    return [CurveClass(tuple(int(t) for t in ln.split())) for ln in lines[1:]]
 
 
 def format_chain(chain: Sequence[CurveClass]) -> str:

@@ -5,7 +5,7 @@ braid and commutation relations through the word-problem oracle, so a
 BraidHom that exists is a homomorphism. Builders cover the conjugated
 power-times-central-twist endomorphism family, the strand-tripling cabling
 map sending the half twist of the 3-strand group to the half twist of the
-3k-strand group, and composition.
+3k-strand group.
 """
 
 from __future__ import annotations
@@ -53,17 +53,6 @@ class BraidHom:
             img = self.images[abs(x) - 1].letters
             out.extend(img if x > 0 else (-y for y in reversed(img)))
         return BraidWord(self.m, tuple(out))
-
-
-def identity_hom(n: int) -> BraidHom:
-    return BraidHom(n, n, tuple(BraidWord(n, (i,)) for i in range(1, n)))
-
-
-def inclusion(n: int, m: int) -> BraidHom:
-    """The source generators read on a larger strand count."""
-    if m < n:
-        raise ValueError("inclusion needs target at least as large as source")
-    return BraidHom(n, m, tuple(BraidWord(m, (i,)) for i in range(1, n)))
 
 
 def cyclic_test(h: BraidHom) -> bool:
@@ -146,13 +135,6 @@ def cabling_b3(k: int) -> BraidHom:
             if oracle.are_equal(h.apply(braids.garside(3)), delta3k):
                 return h
     raise ValueError("no cable family passed both the relation and half-twist checks")
-
-
-def compose(h1: BraidHom, h2: BraidHom) -> BraidHom:
-    """Image-wise substitution h2(h1(.)); relations are inherited."""
-    if h1.m != h2.n:
-        raise ValueError(f"strand mismatch: first lands on {h1.m}, second starts on {h2.n}")
-    return BraidHom(h1.n, h2.m, tuple(h2.apply(w) for w in h1.images))
 
 
 def parse_hom(text: str) -> BraidHom:

@@ -1,18 +1,14 @@
-"""Pure-Python inner loops of the braid word problem.
+"""Pure-Python inner loop of the braid word problem.
 
 dynnikov decides it for the oracle: B_n acts on Z^{2n} by piecewise-linear
 maps, and a word is the trivial braid iff it fixes (0, 1) * n (I. Dynnikov,
 Russ. Math. Surveys 57 (2002); Dehornoy, Dynnikov, Rolfsen and Wiest,
 "Ordering Braids", AMS 2008). Each letter costs O(1) big-integer operations.
-apply_letters is the free-group Artin action, the reference the tests check
-dynnikov against; its words can grow exponentially with the braid word.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-from .braids import reduce_letters
 
 
 def backend() -> str:
@@ -51,27 +47,3 @@ def dynnikov(letters: Sequence[int], coords: Sequence[int]) -> tuple[int, ...]:
                           a2 - m2 - min(m1 - t, 0), b1 - min(t, 0))
     return tuple(x)
 
-
-def apply_letters(
-    n: int,
-    letters: Sequence[int],
-    images: Sequence[Sequence[int]],
-) -> tuple[tuple[int, ...], ...]:
-    """Rewrite each image word through the given braid letters, in order.
-
-    The braid letter i substitutes x_i -> x_i x_{i+1} x_i^{-1} and
-    x_{i+1} -> x_i; the letter -i applies the inverse substitution. The first
-    letter of the braid word acts first. Words stay reduced throughout.
-    """
-    words = [tuple(w) for w in images]
-    for s in letters:
-        i = abs(s)
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"letter {s} out of range for rank {n}")
-        j = i + 1
-        if s > 0:
-            table = {i: (i, j, -i), -i: (i, -j, -i), j: (i,), -j: (-i,)}
-        else:
-            table = {i: (j,), -i: (-j,), j: (-j, i, j), -j: (-j, -i, j)}
-        words = [reduce_letters(r for t in w for r in table.get(t, (t,))) for w in words]
-    return tuple(words)

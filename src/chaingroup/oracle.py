@@ -3,58 +3,14 @@
 A word is the trivial braid iff its action on Dynnikov coordinates fixes
 (0, 1) * n (see chaingroup.kernel.dynnikov; I. Dynnikov, Russ. Math. Surveys
 57 (2002)). Equality, centrality and relation checks all reduce to that test.
-
-The faithful Artin action on the free group of rank n is kept as the
-reference the tests check the oracle against: the letter t_i sends x_i to
-x_i x_{i+1} x_i^{-1}, x_{i+1} to x_i, and fixes the other generators. Images
-are kept freely reduced, so comparing automorphisms is sequence comparison.
-Words act left-to-right: artin_action(u * v) = artin_action(u) followed by
-artin_action(v).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Mapping
 
 from . import kernel
-from .braids import BraidWord, reduce_letters
-
-
-def identity_images(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple((i,) for i in range(1, n + 1))
-
-
-@dataclasses.dataclass(frozen=True)
-class FreeAutomorphism:
-    """An automorphism of the rank-n free group, one reduced word per generator."""
-
-    n: int
-    images: tuple[tuple[int, ...], ...]
-
-    def is_identity(self) -> bool:
-        return self.images == identity_images(self.n)
-
-    def apply(self, word: tuple[int, ...]) -> tuple[int, ...]:
-        """Image of an arbitrary reduced word under this automorphism."""
-
-        def image(t: int):
-            img = self.images[abs(t) - 1]
-            return (-x for x in reversed(img)) if t < 0 else img
-
-        return reduce_letters(r for t in word for r in image(t))
-
-
-def artin_action(w: BraidWord) -> FreeAutomorphism:
-    """The free-group automorphism induced by a braid word."""
-    return FreeAutomorphism(w.n, kernel.apply_letters(w.n, w.letters, identity_images(w.n)))
-
-
-def compose(f: FreeAutomorphism, g: FreeAutomorphism) -> FreeAutomorphism:
-    """The automorphism acting as f first, then g."""
-    if f.n != g.n:
-        raise ValueError("rank mismatch")
-    return FreeAutomorphism(f.n, tuple(g.apply(w) for w in f.images))
+from .braids import BraidWord
 
 
 def is_identity(w: BraidWord) -> bool:

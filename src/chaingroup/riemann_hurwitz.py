@@ -3,10 +3,10 @@
 A finite group of order m acting on a surface of Euler characteristic chi
 with ramification points Q_i of o_i preimages each satisfies
 chi + sum(m - o_i) = m * chi_quotient, with every o_i a proper divisor of m.
-Feasibility checks, branch-data enumeration, the fixed-point bound
-2 + 2g/(m-1), the classic order bounds 84(g-1) and 4g+2 with the genus-1
-table, and the inequality audits used to rule out periodic and pseudo-Anosov
-generator images are all exact integer or rational arithmetic.
+Feasibility checks, branch-data enumeration, the classic order bounds
+84(g-1) and 4g+2 with the genus-1 table, and the inequality audits used to
+rule out periodic and pseudo-Anosov generator images are all exact integer
+or rational arithmetic.
 """
 
 from __future__ import annotations
@@ -76,15 +76,6 @@ def rh_enumerate(
         if not rh_check(d):
             raise RuntimeError(f"enumerated branch data {d} fails the Riemann-Hurwitz equation")
     return out
-
-
-def fixed_bound(g: int, m: int) -> Fraction:
-    """Exact bound 2 + 2g/(m-1) on preserved boundaries plus fixed points."""
-    if g < 0:
-        raise ValueError("genus must be nonnegative")
-    if m < 2:
-        raise ValueError("order must be at least 2")
-    return Fraction(2) + Fraction(2 * g, m - 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -175,16 +166,6 @@ def section5_audit(r: int, m: int, d: int) -> Section5Report:
         chi_bound=chi_bound,
         kernel_exceeds_bound=kernel > chi_bound,
     )
-
-
-def parse_rh(text: str) -> RamificationData:
-    """Parse 'chi=<int> m=<int> branch=<o1,o2,...> chiq=<int>'."""
-    parts = dict(tok.split("=", 1) for tok in text.split())
-    missing = {"chi", "m", "branch", "chiq"} - set(parts)
-    if missing:
-        raise ValueError(f"missing fields: {sorted(missing)}")
-    branch = tuple(int(t) for t in parts["branch"].split(",") if t)
-    return RamificationData(int(parts["chi"]), int(parts["m"]), branch, int(parts["chiq"]))
 
 
 def format_rh(d: RamificationData) -> str:

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from chaingroup import graphs, homology, homs, intmat
@@ -180,6 +182,21 @@ class TestGraphCommands:
         code, out, _ = run(capsys, "graph", "classify", str(path))
         assert code == 0 and out.splitlines()[0] == "type=B k=1 l=3 d=4"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("vertices=1\n0 0\n0 0\naction vperm=() eperm=(0 5)", "cycle symbol out of range"),
+            ("vertices=2\n0 1\n0 1\naction vperm=(1 -1) eperm=(0 1)", "cycle symbol out of range"),
+            ("vertices=-1\naction vperm=() eperm=()", "vertex count"),
+            ("vertices=1\n0 0\n0 0\nlabel 3 1 0\naction vperm=() eperm=(0 1)", "label vertex 3"),
+        ],
+        ids=["symbol-above", "symbol-negative", "vertex-count", "label-vertex"],
+    )
+    def test_classify_malformed_is_usage_error(self, capsys, monkeypatch, text, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, _, err = run(capsys, "graph", "classify", "-")
+        assert code == 2 and message in err
+
     def test_brute(self, capsys):
         code, out, _ = run(capsys, "graph", "brute", "--m", "2")
         assert code == 0 and out.splitlines()[0] == "count=4"
@@ -237,6 +254,16 @@ class TestSuites:
         assert code == 0
         assert "[FAIL]" not in out
         assert out.splitlines()[-1] == f"suite={name} items={items} failed=0"
+
+    def test_graphs_skips_coverage_above_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("CHAINGROUP_BUDGET", "1")
+        code, out, _ = run(capsys, "suite", "graphs")
+        lines = out.splitlines()
+        assert code == 0
+        assert [ln for ln in lines if ln.startswith("[skip]")] == [
+            f"[skip] bidirectional-coverage m={m} (skipped, budget=1)" for m in range(2, 9)
+        ]
+        assert lines[-1] == "suite=graphs items=13 failed=0"
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,9 +11,6 @@ from chaingroup.finite import (
     cycles,
     enum_perm_reps,
     ln_group,
-    orbit_spectrum_check,
-    parse_params,
-    parse_permutation,
     perm_rep_satisfies_relations,
     smith_normal_form,
     validate_params,
@@ -302,81 +299,3 @@ class TestEnumPermRepsReference:
         slim = enum_perm_reps(n, k, dedup_conjugacy=True)
         assert slim == _dedup_by_min_conjugate(full)
 
-
-class TestOrbitSpectrumCheck:
-    @staticmethod
-    def _sym_gens(r):
-        gens = []
-        for i in range(r - 1):
-            p = list(range(r))
-            p[i], p[i + 1] = p[i + 1], p[i]
-            gens.append(tuple(p))
-        return gens
-
-    def test_full_subset_action(self):
-        import itertools
-
-        r, k = 4, 2
-        elements = [frozenset(c) for c in itertools.combinations(range(r), k)]
-        gens_colors = self._sym_gens(r)
-        gens_set = [
-            {e: frozenset(g[c] for c in e) for e in elements} for g in gens_colors
-        ]
-        spectrum = {e: e for e in elements}
-        ell, ok = orbit_spectrum_check(gens_set, gens_colors, spectrum, elements[0], r)
-        assert (ell, ok) == (1, True)
-
-    def test_doubled_action(self):
-        r = 3
-        elements = [(i, b) for i in range(r) for b in (0, 1)]
-        gens_colors = self._sym_gens(r) + [tuple(range(r))]
-        gens_set = [
-            {(i, b): (g[i], b) for (i, b) in elements} for g in self._sym_gens(r)
-        ]
-        gens_set.append({(i, b): (i, 1 - b) for (i, b) in elements})
-        spectrum = {(i, b): frozenset({i}) for (i, b) in elements}
-        ell, ok = orbit_spectrum_check(gens_set, gens_colors, spectrum, (0, 0), r)
-        assert (ell, ok) == (2, True)
-
-    def test_empty_spectrum(self):
-        r = 3
-        elements = list(range(4))
-        cycle = {0: 1, 1: 2, 2: 3, 3: 0}
-        gens_set = [cycle] + [{e: e for e in elements}] * 2
-        gens_colors = [tuple(range(r))] + self._sym_gens(r)
-        spectrum = {e: frozenset() for e in elements}
-        ell, ok = orbit_spectrum_check(gens_set, gens_colors, spectrum, 0, r)
-        assert (ell, ok) == (4, True)
-
-    def test_non_equivariant_rejected(self):
-        r = 3
-        elements = list(range(r))
-        gens_colors = self._sym_gens(r)
-        gens_set = [{e: g[e] for e in elements} for g in gens_colors]
-        spectrum = {0: frozenset({0}), 1: frozenset({0}), 2: frozenset({2})}
-        with pytest.raises(ValueError):
-            orbit_spectrum_check(gens_set, gens_colors, spectrum, 0, r)
-
-    def test_requires_full_symmetric_color_action(self):
-        r = 3
-        elements = list(range(r))
-        gens_colors = [(1, 2, 0)]
-        gens_set = [{0: 1, 1: 2, 2: 0}]
-        spectrum = {e: frozenset({e}) for e in elements}
-        with pytest.raises(ValueError):
-            orbit_spectrum_check(gens_set, gens_colors, spectrum, 0, r)
-
-
-class TestParsers:
-    def test_params_line(self):
-        assert parse_params("3 4 2 2 2") == LnParams(3, 4, 2, 2, 2)
-
-    def test_permutation_cycles(self):
-        assert parse_permutation("(1 2)(3 4)", 4) == (1, 0, 3, 2)
-
-    def test_permutation_image_map(self):
-        assert parse_permutation("1->2 2->1 3->3", 3) == (1, 0, 2)
-
-    def test_bad_permutation(self):
-        with pytest.raises(ValueError):
-            parse_permutation("1->2 2->2 3->3", 3)

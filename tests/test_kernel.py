@@ -1,15 +1,16 @@
-"""The word-problem kernels: Dynnikov coordinates against the Artin action."""
+"""The word-problem kernel: Dynnikov coordinates against the Artin action."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaingroup import kernel
 from chaingroup.braids import BraidWord
-from chaingroup.oracle import artin_action, identity_images
+from reference import apply_letters, artin_action, identity_images
 
-# Both kernels as functions of (n, letters), each started at its identity.
+# The kernel and the Artin reference as functions of (n, letters), each
+# started at its identity.
 ACTIONS = {
-    "apply_letters": lambda n, letters: kernel.apply_letters(n, letters, identity_images(n)),
+    "apply_letters": lambda n, letters: apply_letters(n, letters, identity_images(n)),
     "dynnikov": lambda n, letters: kernel.dynnikov(letters, (0, 1) * n),
 }
 

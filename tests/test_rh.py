@@ -1,19 +1,16 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 
 from chaingroup.riemann_hurwitz import (
     OrderBounds,
     RamificationData,
-    fixed_bound,
     format_rh,
     inequality6_holds,
     inequality7_holds,
     inequality8_holds,
     inequality10_holds,
     order_bounds,
-    parse_rh,
     rh_check,
     rh_enumerate,
     section5_audit,
@@ -68,27 +65,6 @@ class TestRhEnumerate:
         assert got == expected
         for d in rh_enumerate(chi, m, chis):
             assert rh_check(d)
-
-
-class TestFixedBound:
-    def test_examples(self):
-        assert fixed_bound(2, 2) == 6
-        assert fixed_bound(0, 2) == 2
-        assert fixed_bound(5, 11) == 3
-
-    def test_exact_rational(self):
-        assert fixed_bound(3, 4) == Fraction(4)
-        assert fixed_bound(1, 4) == Fraction(8, 3)
-
-    def test_monotonicity(self):
-        for g in range(0, 6):
-            for m in range(2, 8):
-                assert fixed_bound(g, m) >= fixed_bound(g, m + 1)
-                assert fixed_bound(g + 1, m) >= fixed_bound(g, m)
-
-    def test_order_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            fixed_bound(2, 1)
 
 
 class TestOrderBounds:
@@ -146,12 +122,10 @@ class TestSectionFiveAudit:
 class TestTextFormat:
     def test_round_trip(self):
         d = RamificationData(-2, 2, (1, 1, 1, 1, 1, 1), 2)
-        assert parse_rh(format_rh(d)) == d
+        fields = dict(tok.split("=", 1) for tok in format_rh(d).split())
+        branch = tuple(int(t) for t in fields["branch"].split(",") if t)
+        chi, m, chiq = (int(fields[k]) for k in ("chi", "m", "chiq"))
+        assert RamificationData(chi, m, branch, chiq) == d
 
     def test_empty_branch(self):
-        d = parse_rh("chi=-4 m=2 branch= chiq=-2")
-        assert d.branch == ()
-
-    def test_missing_field(self):
-        with pytest.raises(ValueError):
-            parse_rh("chi=-4 m=2 chiq=-2")
+        assert format_rh(RamificationData(-4, 2, (), -2)) == "chi=-4 m=2 branch= chiq=-2"

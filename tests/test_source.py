@@ -5,12 +5,23 @@ from pathlib import Path
 import chaingroup
 
 SOURCE = Path(chaingroup.__file__).parent
+# The front door: the CLI entry point and the suite registry it shares with
+# the acceptance tests.
+ROOTS = ("cli.main", "suites.SUITES")
+# perfbench stamps every run with the kernel's backend name.
+UNREACHED_ALLOWED = {"kernel.backend"}
+
+
+def _modules():
+    """(path, syntax tree) for every module of the package source."""
+    for path in sorted(SOURCE.rglob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
 
 
 def _nodes():
     """(file name, node) for every syntax node of the package source."""
-    for path in sorted(SOURCE.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for path, tree in _modules():
+        for node in ast.walk(tree):
             yield path.name, node
 
 
@@ -33,3 +44,52 @@ def test_runtime_imports_only_the_standard_library():
             continue
         found += [f"{name}:{node.lineno} {m}" for m in modules if m.split(".")[0] not in stdlib]
     assert found == []
+
+
+def _name_graph():
+    """'module.name' of every top-level definition -> the definitions it names.
+
+    A definition names another through a bare name (its own module's or one
+    imported with `from .mod import name`) or through `mod.name`, where mod
+    was imported with `from . import mod`.
+    """
+    trees = {path.stem: tree for path, tree in _modules()}
+    graph = {}
+    for mod, tree in trees.items():
+        defs, modules, names = {}, {}, {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module is None:
+                        modules[local] = alias.name
+                    else:
+                        names[local] = f"{node.module}.{alias.name}"
+        names.update((name, f"{mod}.{name}") for name in defs)
+        for name, node in defs.items():
+            edges = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and sub.id in names:
+                    edges.add(names[sub.id])
+                elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                      and sub.value.id in modules):
+                    edges.add(f"{modules[sub.value.id]}.{sub.attr}")
+            graph[f"{mod}.{name}"] = edges
+    return graph
+
+
+def test_every_definition_is_reached_from_the_front_door():
+    """Code that only the tests reach belongs in tests/, not in the package."""
+    graph = _name_graph()
+    reached, frontier = set(ROOTS), list(ROOTS)
+    while frontier:
+        for target in graph.get(frontier.pop(), ()):
+            if target not in reached:
+                reached.add(target)
+                frontier.append(target)
+    assert sorted(set(graph) - reached - UNREACHED_ALLOWED) == []
