@@ -367,12 +367,18 @@ def parse_graph(text: str) -> ActionGraph:
         if ln.startswith("action "):
             action_line = ln[len("action "):]
         elif ln.startswith("label "):
-            _, v, gv, bv = ln.split()
+            parts = ln.split()
+            if len(parts) != 4:
+                raise ValueError(f"label line must be 'label v genus b', got {ln!r}")
+            _, v, gv, bv = parts
             if not 0 <= int(v) < nv:
                 raise ValueError(f"label vertex {v} out of range 0..{nv - 1}")
             labels[int(v)] = (int(gv), int(bv))
         else:
-            u, w = ln.split()
+            parts = ln.split()
+            if len(parts) != 2:
+                raise ValueError(f"edge line must be 'u v', got {ln!r}")
+            u, w = parts
             edges.append((int(u), int(w)))
     if action_line is None:
         raise ValueError("graph text needs an action line")

@@ -1,8 +1,14 @@
 import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from chaingroup import graphs, homology, homs, intmat
+import chaingroup
+from chaingroup import graphs, homology, homs, intmat, suites
 from chaingroup.cli import dispatch
 from chaingroup.homology import (
     CurveClass,
@@ -189,8 +195,14 @@ class TestGraphCommands:
             ("vertices=2\n0 1\n0 1\naction vperm=(1 -1) eperm=(0 1)", "cycle symbol out of range"),
             ("vertices=-1\naction vperm=() eperm=()", "vertex count"),
             ("vertices=1\n0 0\n0 0\nlabel 3 1 0\naction vperm=() eperm=(0 1)", "label vertex 3"),
+            ("vertices=2\n0 1 2\naction vperm=() eperm=()", "edge line must be 'u v', got '0 1 2'"),
+            (
+                "vertices=1\nlabel 0 1\naction vperm=() eperm=()",
+                "label line must be 'label v genus b', got 'label 0 1'",
+            ),
         ],
-        ids=["symbol-above", "symbol-negative", "vertex-count", "label-vertex"],
+        ids=["symbol-above", "symbol-negative", "vertex-count", "label-vertex", "edge-arity",
+             "label-arity"],
     )
     def test_classify_malformed_is_usage_error(self, capsys, monkeypatch, text, message):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -265,6 +277,13 @@ class TestSuites:
         ]
         assert lines[-1] == "suite=graphs items=13 failed=0"
 
+    def test_choices_follow_the_registry(self, capsys):
+        """The parser spells the suite names out; they must be SUITES's keys, in order."""
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["suite", "--help"])
+        assert exc.value.code == 0
+        assert "{" + ",".join(suites.SUITES) + "}" in capsys.readouterr().out
+
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             dispatch(["suite", "bogus"])
@@ -280,3 +299,43 @@ class TestUsageErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "graph", "classify", "/nonexistent/path.txt")
         assert code == 2 and "error" in err
+
+
+# Prints the chaingroup modules loaded by `import chaingroup.cli` and those a
+# dispatch of the given arguments adds to them.
+_LOADS = """
+import contextlib, io, json, sys
+import chaingroup.cli
+
+def loaded():
+    return {m for m in sys.modules if m.split(".")[0] == "chaingroup"}
+
+before = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = chaingroup.cli.dispatch(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([sorted(before), sorted(loaded() - before), code]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, added",
+    [
+        ((), []),
+        (("braid", "eq", "--n", "3", "1 2 1", "2 1 2"), ["braids", "kernel", "oracle"]),
+        (("perm", "enum", "--n", "5", "--k", "5", "--summary"), ["finite", "intmat"]),
+        (("rh", "bounds", "--genus", "2", "--b", "0"), ["riemann_hurwitz"]),
+    ],
+    ids=["import", "braid-eq", "perm-enum", "rh-bounds"],
+)
+def test_subcommand_imports_only_its_modules(argv, added):
+    """Start-up loads the CLI alone; a subcommand adds just the modules it runs."""
+    src = str(Path(chaingroup.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADS, *argv], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    before, new, code = json.loads(done.stdout)
+    assert before == ["chaingroup", "chaingroup.cli"]
+    assert new == [f"chaingroup.{m}" for m in added]
+    assert code == 0

@@ -51,7 +51,8 @@ def _name_graph():
 
     A definition names another through a bare name (its own module's or one
     imported with `from .mod import name`) or through `mod.name`, where mod
-    was imported with `from . import mod`.
+    was imported with `from . import mod`. Imports count wherever they stand
+    in the module, at top level or inside a function.
     """
     trees = {path.stem: tree for path, tree in _modules()}
     graph = {}
@@ -63,7 +64,8 @@ def _name_graph():
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defs.update((t.id, node) for t in targets if isinstance(t, ast.Name))
-            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
                     local = alias.asname or alias.name
                     if node.module is None:
