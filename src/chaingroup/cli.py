@@ -242,9 +242,12 @@ def _cmd_perm(args) -> int:
     from . import finite
 
     budget = _budget(6)
-    reps = finite.enum_perm_reps(args.n, args.k, dedup_conjugacy=args.dedup, budget=budget)
-    cyclic = sum(1 for r in reps if r.is_cyclic())
-    print(f"count={len(reps)} cyclic={cyclic} noncyclic={len(reps) - cyclic}")
+    if args.summary and not args.dedup:
+        count, cyclic = finite.count_perm_reps(args.n, args.k, budget=budget)
+    else:
+        reps = finite.enum_perm_reps(args.n, args.k, dedup_conjugacy=args.dedup, budget=budget)
+        count, cyclic = len(reps), sum(1 for r in reps if r.is_cyclic())
+    print(f"count={count} cyclic={cyclic} noncyclic={count - cyclic}")
     if not args.summary:
         for rep in reps:
             tag = "cyclic" if rep.is_cyclic() else "noncyclic"

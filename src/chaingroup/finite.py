@@ -7,10 +7,15 @@ power of the full product equal a power of the first generator. The group is
 computed exactly as Z^r modulo the row lattice of those relations; its
 cardinality comes out as (M/m) * d * m^(r-1).
 
-The permutation side enumerates all tuples of permutations satisfying the
-braid and commutation relations by a depth-first search that only pairs
-permutations of one cycle type (images joined by braid relations are
-conjugate).
+The permutation side finds the tuples of permutations of k symbols that
+satisfy the braid and commutation relations, up to simultaneous conjugacy.
+Images joined by a braid relation are conjugate, so all images of a tuple
+share one cycle type, and every tuple is conjugate to one whose first image
+is the least permutation x of that type. A depth-first search finds only
+those, computing braid partners for the images it reaches. Conjugation by c
+maps the tuples starting at x one-to-one onto those starting at c x c^-1, so
+the total is the sum over cycle types of |class(x)| times the number found
+from x; the full list is built only when it is printed.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import dataclasses
 import itertools
 import math
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .intmat import Matrix, as_matrix
 
@@ -187,6 +192,10 @@ def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(b[x] for x in a)
 
 
+def _braids(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return _pmul(_pmul(a, b), a) == _pmul(_pmul(b, a), b)
+
+
 def perm_rep_satisfies_relations(rep: PermRep) -> bool:
     """Each image braids with its predecessor and commutes with the distinct
     images two or more steps back: O(N * min(N, k!)) compositions, not O(N^2)."""
@@ -194,7 +203,7 @@ def perm_rep_satisfies_relations(rep: PermRep) -> bool:
     earlier: set[tuple[int, ...]] = set()
     for i in range(1, len(gs)):
         a, b = gs[i - 1], gs[i]
-        if _pmul(_pmul(a, b), a) != _pmul(_pmul(b, a), b):
+        if not _braids(a, b):
             return False
         if i >= 2:
             earlier.add(gs[i - 2])
@@ -204,88 +213,156 @@ def perm_rep_satisfies_relations(rep: PermRep) -> bool:
     return True
 
 
-def enum_perm_reps(
-    n: int, k: int, dedup_conjugacy: bool = False, budget: int | None = None
-) -> list[PermRep]:
-    """All (n-1)-tuples of permutations of k symbols obeying the relations.
+def _require_relations(reps: Sequence[PermRep]) -> None:
+    for rep in reps:
+        if not perm_rep_satisfies_relations(rep):
+            raise RuntimeError(f"enumerated tuple {rep.images} violates a braid relation")
 
-    Depth-first search over generator images: each image must braid with its
-    predecessor and commute with everything two or more steps back. If
-    aba = bab then b = (ab) a (ab)^-1, so every image of a chain is conjugate
-    to the first and only pairs inside one conjugacy class (one cycle type)
-    are ever tested; commutation with earlier images is tracked as bit masks
-    over the permutations. Results come in lexicographic order of image
-    tuples; with dedup_conjugacy only the first tuple of each simultaneous
-    conjugacy class, which is its lexicographic minimum, is kept.
+
+def _conjugacy_classes(k: int) -> list[list[tuple[int, ...]]]:
+    """The classes of S_k, one per cycle type, each in lexicographic order and
+    listed in order of their least members."""
+    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for p in itertools.permutations(range(k)):
+        classes.setdefault(tuple(sorted(map(len, cycles(p)))), []).append(p)
+    return list(classes.values())
+
+
+def _chains_from(
+    members: list[tuple[int, ...]], length: int
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Every chain of `length` images whose first image is members[0], in
+    lexicographic order.
+
+    Depth-first search on an explicit stack: a chain grows in place, each
+    image must braid with its predecessor and commute with the distinct
+    images two or more steps back, kept as a multiset. Braid partners are
+    computed from the class only for the images the search reaches.
+    """
+    partners: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+
+    def braid_partners(a: tuple[int, ...]) -> list[tuple[int, ...]]:
+        if a not in partners:
+            partners[a] = [b for b in members if _braids(a, b)]
+        return partners[a]
+
+    found = []
+    chain = [members[0]]
+    earlier: dict[tuple[int, ...], int] = {}  # multiset of chain[:-1]
+    stack = [iter(braid_partners(chain[0]))]  # stack[d] yields candidates for chain[d + 1]
+    while stack:
+        b = next(stack[-1], None)
+        if b is None:
+            stack.pop()
+            chain.pop()
+            if chain:
+                a = chain[-1]
+                earlier[a] -= 1
+                if not earlier[a]:
+                    del earlier[a]
+            continue
+        if any(_pmul(b, c) != _pmul(c, b) for c in earlier):
+            continue
+        if len(chain) == length - 1:
+            found.append((*chain, b))
+            continue
+        earlier[chain[-1]] = earlier.get(chain[-1], 0) + 1
+        chain.append(b)
+        stack.append(iter(braid_partners(b)))
+    return found
+
+
+def perm_rep_classes(
+    n: int, k: int, budget: int | None = None
+) -> list[tuple[list[tuple[int, ...]], list[PermRep]]]:
+    """The (n-1)-tuples obeying the relations, up to simultaneous conjugacy.
+
+    One entry per conjugacy class of S_k, in order of least member x: the
+    class, and every relation-checked tuple whose first image is x, in
+    lexicographic order. Every tuple is conjugate to one of these; the
+    tuples starting at x are exactly the conjugates of these by the
+    centralizer of x.
     """
     if n < 3 or k < 1:
         raise ValueError("need n >= 3 strands and k >= 1 symbols")
     cap = budget if budget is not None else 6
     if k > cap:
         raise ValueError(f"symbol count {k} exceeds the search budget {cap}")
+    out = []
+    for members in _conjugacy_classes(k):
+        reps = [PermRep(k, images) for images in _chains_from(members, n - 1)]
+        _require_relations(reps)
+        out.append((members, reps))
+    return out
 
-    perms = sorted(itertools.permutations(range(k)))
-    size = len(perms)
-    classes: dict[tuple[int, ...], list[int]] = {}  # cycle type -> permutations
-    for i, p in enumerate(perms):
-        classes.setdefault(tuple(sorted(map(len, cycles(p)))), []).append(i)
 
-    braid_next: list[list[int]] = [[] for _ in range(size)]
-    comm_mask = [0] * size
-    for members in classes.values():
-        for a in members:
-            pa = perms[a]
-            for b in members:
-                pb = perms[b]
-                ab = _pmul(pa, pb)
-                ba = _pmul(pb, pa)
-                if _pmul(ab, pa) == _pmul(ba, pb):
-                    braid_next[a].append(b)
-                if ab == ba:
-                    comm_mask[a] |= 1 << b
+def count_perm_reps(n: int, k: int, budget: int | None = None) -> tuple[int, int]:
+    """(count, cyclic) of the tuples enum_perm_reps(n, k) lists, without
+    listing them.
 
-    # stack[d] iterates the candidates for image d; masks[d] is the set of
-    # permutations commuting with images 0..d
-    results: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-    masks: list[int] = []
-    stack: list[Iterator[int]] = [iter(range(size))]
-    while stack:
-        b = next(stack[-1], None)
-        if b is None:
-            stack.pop()
-            if chosen:
-                chosen.pop()
-                masks.pop()
-            continue
-        level = len(chosen)
-        if level >= 2 and not (masks[level - 2] >> b) & 1:
-            continue
-        if level == n - 2:
-            results.append((*chosen, b))
-            continue
-        chosen.append(b)
-        masks.append((masks[-1] if masks else (1 << size) - 1) & comm_mask[b])
-        stack.append(iter(braid_next[b]))
+    Conjugation by c maps the tuples starting at x one-to-one onto those
+    starting at c x c^-1, so each class contributes its size times the
+    number of tuples starting at its least member.
+    """
+    count = cyclic = 0
+    for members, reps in perm_rep_classes(n, k, budget):
+        count += len(members) * len(reps)
+        cyclic += len(members) * sum(1 for r in reps if r.is_cyclic())
+    return count, cyclic
 
-    reps = [PermRep(k, tuple(perms[i] for i in tup)) for tup in sorted(results)]
-    if dedup_conjugacy:
-        inverses = [_inv(c) for c in perms]
-        seen = set()
-        out = []
-        for rep in reps:
-            if rep.images in seen:
-                continue
-            out.append(rep)
-            seen.update(
-                tuple(_pmul(_pmul(ci, g), c) for g in rep.images)
-                for c, ci in zip(perms, inverses)
-            )
-        reps = out
-    for rep in reps:
-        if not perm_rep_satisfies_relations(rep):
-            raise RuntimeError(f"enumerated tuple {rep.images} violates a braid relation")
-    return reps
+
+def enum_perm_reps(
+    n: int, k: int, dedup_conjugacy: bool = False, budget: int | None = None
+) -> list[PermRep]:
+    """All (n-1)-tuples of permutations of k symbols obeying the relations.
+
+    Each image must braid with its predecessor and commute with everything
+    two or more steps back. If aba = bab then b = (ab) a (ab)^-1, so all
+    images of a tuple share one cycle type. perm_rep_classes finds the
+    tuples starting at each class's least member x; conjugating them by one
+    c with c x c^-1 = y for each y of the class gives every tuple exactly
+    once. Results come in lexicographic order of image tuples. With
+    dedup_conjugacy only the least tuple of each simultaneous conjugacy
+    class is kept: it starts at x, and it is the least of its conjugates by
+    the centralizer of x.
+    """
+    found = []
+    for members, reps in perm_rep_classes(n, k, budget):
+        x = members[0]
+        if dedup_conjugacy:
+            centralizer = [
+                c for c in itertools.permutations(range(k)) if _conjugate((x,), c) == (x,)
+            ]
+            seen: set[tuple[tuple[int, ...], ...]] = set()
+            for rep in reps:
+                if rep.images not in seen:
+                    found.append(rep.images)
+                    seen.update(_conjugate(rep.images, c) for c in centralizer)
+        else:
+            for y in members:
+                c = _conjugator(x, y)
+                found.extend(_conjugate(rep.images, c) for rep in reps)
+    out = [PermRep(k, images) for images in sorted(found)]
+    _require_relations(out)
+    return out
+
+
+def _conjugate(
+    images: Sequence[tuple[int, ...]], c: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Each image g replaced by c g c^-1, which sends c[i] to c[g[i]]."""
+    ci = _inv(c)
+    return tuple(_pmul(_pmul(ci, g), c) for g in images)
+
+
+def _conjugator(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """A permutation c with c x c^-1 = y, for x and y of one cycle type: it
+    maps each cycle of x onto a cycle of y of the same length."""
+    c = [0] * len(x)
+    for cx, cy in zip(sorted(cycles(x), key=len), sorted(cycles(y), key=len)):
+        for i, j in zip(cx, cy):
+            c[i] = j
+    return tuple(c)
 
 
 def cycles(p: Sequence[int]) -> list[tuple[int, ...]]:

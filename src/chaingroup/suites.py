@@ -2,7 +2,8 @@
 
 Each suite takes the enumeration budget and returns (label, verdict) items;
 a verdict of None marks an item skipped because the budget is too small.
-SUITES maps the suite names, in CLI order, to these functions.
+SUITES maps the suite names, in CLI order, to these functions. Each suite
+imports the modules it runs, so loading this module loads no other.
 """
 
 from __future__ import annotations
@@ -10,14 +11,14 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from . import braids, finite, graphs, oracle, riemann_hurwitz as rh
-from .braids import BraidWord
-
 Items = list[tuple[str, bool | None]]
 
 
 def suite_identities(budget: int) -> Items:
     """Index-shift and half-twist conjugations, and the center, for n = 3..8."""
+    from . import braids, oracle
+    from .braids import BraidWord
+
     items: Items = []
     for n in range(3, 9):
         delta, half = braids.flip_delta(n), braids.garside(n)
@@ -52,6 +53,8 @@ TABLE1 = [
 
 def random_quotients_ok(seed: int) -> bool:
     """Fifty random valid quotient parameters all have order q * d * m^(r-1)."""
+    from . import finite
+
     rng = random.Random(seed)
     done = 0
     all_ok = True
@@ -70,6 +73,8 @@ def random_quotients_ok(seed: int) -> bool:
 
 
 def suite_table1(budget: int) -> Items:
+    from . import finite
+
     items: Items = []
     for r_amb, p, d, expected in TABLE1:
         params = finite.LnParams(r_amb - 1, p, p, d, 0)
@@ -84,6 +89,8 @@ def suite_table1(budget: int) -> Items:
 
 def suite_graphs(budget: int) -> Items:
     """Edge-transitive graph actions; coverage items with more edges than budget skip."""
+    from . import graphs
+
     items: Items = []
     for m in range(1, 9):
         if m > budget:
@@ -108,30 +115,47 @@ def suite_graphs(budget: int) -> Items:
     return items
 
 
-def _all_cyclic(reps: list[finite.PermRep]) -> bool:
+def all_cyclic(reps: list[finite.PermRep]) -> bool:
     return all(r.is_cyclic() for r in reps)
 
 
+def first_equals_third(reps: list[finite.PermRep]) -> bool:
+    return bool(reps) and all(r.images[0] == r.images[2] for r in reps)
+
+
+def noncyclic_exists(reps: list[finite.PermRep]) -> bool:
+    return any(not r.is_cyclic() for r in reps)
+
+
 def suite_perm(budget: int) -> Items:
-    """Braid-relation permutation tuples; symbol counts above min(budget, 6) skip."""
+    """Braid-relation permutation tuples; symbol counts above min(budget, 6) skip.
+
+    Every tuple is conjugate to one whose first image is the least
+    permutation of its cycle type, and each predicate is invariant under
+    simultaneous conjugation, so it is evaluated on those tuples alone.
+    """
+    from . import finite
+
     budget = min(budget, 6)
-    cases = [(5, k, _all_cyclic, f"n=5 k={k} all-cyclic") for k in range(1, 5)]
-    cases += [(6, k, _all_cyclic, f"n=6 k={k} all-cyclic") for k in range(1, 6)]
+    cases = [(5, k, all_cyclic, f"n=5 k={k} all-cyclic") for k in range(1, 5)]
+    cases += [(6, k, all_cyclic, f"n=6 k={k} all-cyclic") for k in range(1, 6)]
     cases += [
-        (4, 3, lambda reps: bool(reps) and all(r.images[0] == r.images[2] for r in reps),
-         "n=4 k=3 first-equals-third"),
-        (6, 6, lambda reps: any(not r.is_cyclic() for r in reps), "n=6 k=6 noncyclic-exists"),
+        (4, 3, first_equals_third, "n=4 k=3 first-equals-third"),
+        (6, 6, noncyclic_exists, "n=6 k=6 noncyclic-exists"),
     ]
     items: Items = []
     for n, k, pred, label in cases:
         if k > budget:
             items.append((f"{label} (skipped, budget={budget})", None))
         else:
-            items.append((label, pred(finite.enum_perm_reps(n, k, budget=budget))))
+            classes = finite.perm_rep_classes(n, k, budget=budget)
+            items.append((label, pred([rep for _, reps in classes for rep in reps])))
     return items
 
 
 def suite_rh(budget: int) -> Items:
+    from . import riemann_hurwitz as rh
+
     infeasible = all(
         not rh.rh_check(rh.RamificationData(-4, 8, (4,), chi_q)) for chi_q in (1, -1, -3)
     )

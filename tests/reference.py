@@ -8,13 +8,20 @@ is sequence comparison. Words act left-to-right: artin_action(u * v) is
 artin_action(u) followed by artin_action(v). Its words can grow exponentially
 with the braid word.
 
+The pair-table permutation search is the reference for
+chaingroup.finite's search up to conjugacy: it tabulates, for every
+permutation of k symbols, its braid partners and the permutations it
+commutes with, and walks all tuples over those tables.
+
 Not a test module: pytest does not collect it, the test modules import it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Sequence
+import functools
+import itertools
+from typing import Iterable, Iterator, Sequence
 
 from chaingroup import braids, homology, intmat
 from chaingroup.braids import BraidWord
@@ -150,3 +157,92 @@ def apply_transvection(
         if intmat.mat_mul(m, v) != intmat.mat_mul(v, m):
             raise ValueError("direction must commute with every matrix of the rep")
     return [intmat.mat_mul(m, v) for m in rep]
+
+
+# ------------------------------------------------- permutation search ----
+
+
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Apply a first, then b."""
+    return tuple(b[x] for x in a)
+
+
+def _cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
+    seen, lengths = set(), []
+    for start in range(len(p)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x = p[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_tables(k: int):
+    """Sorted S_k, and per permutation index its braid partners' indices and
+    the bit mask of the indices it commutes with (images joined by a braid
+    relation are conjugate, so only pairs of one cycle type are tested)."""
+    perms = sorted(itertools.permutations(range(k)))
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for i, p in enumerate(perms):
+        classes.setdefault(_cycle_type(p), []).append(i)
+    braid_next: list[list[int]] = [[] for _ in perms]
+    comm_mask = [0] * len(perms)
+    for members in classes.values():
+        for a in members:
+            for b in members:
+                ab, ba = _compose(perms[a], perms[b]), _compose(perms[b], perms[a])
+                if _compose(ab, perms[a]) == _compose(ba, perms[b]):
+                    braid_next[a].append(b)
+                if ab == ba:
+                    comm_mask[a] |= 1 << b
+    return perms, braid_next, comm_mask
+
+
+def enum_perm_reps_by_tables(
+    n: int, k: int, dedup_conjugacy: bool = False
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Image tuples of every (n-1)-tuple of S_k obeying the braid and
+    commutation relations, in lexicographic order; with dedup_conjugacy
+    only the first of each simultaneous conjugacy class."""
+    perms, braid_next, comm_mask = _pair_tables(k)
+    size = len(perms)
+    # stack[d] iterates the candidates for image d; masks[d] is the set of
+    # permutations commuting with images 0..d
+    results: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+    masks: list[int] = []
+    stack: list[Iterator[int]] = [iter(range(size))]
+    while stack:
+        b = next(stack[-1], None)
+        if b is None:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+                masks.pop()
+            continue
+        level = len(chosen)
+        if level >= 2 and not (masks[level - 2] >> b) & 1:
+            continue
+        if level == n - 2:
+            results.append((*chosen, b))
+            continue
+        chosen.append(b)
+        masks.append((masks[-1] if masks else (1 << size) - 1) & comm_mask[b])
+        stack.append(iter(braid_next[b]))
+
+    tuples = [tuple(perms[i] for i in tup) for tup in sorted(results)]
+    if not dedup_conjugacy:
+        return tuples
+    seen, out = set(), []
+    for images in tuples:
+        if images in seen:
+            continue
+        out.append(images)
+        for c in perms:
+            ci = tuple(sorted(range(k), key=c.__getitem__))
+            seen.add(tuple(_compose(_compose(ci, g), c) for g in images))
+    return out

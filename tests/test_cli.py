@@ -170,10 +170,47 @@ class TestPermCommand:
         assert code == 0
         assert out.splitlines()[0] == "count=2 cyclic=2 noncyclic=0"
 
+    def test_deep_chain_summary_six_symbols(self, capsys):
+        code, out, _ = run(capsys, "perm", "enum", "--n", "2000", "--k", "6", "--summary")
+        assert code == 0
+        assert out.splitlines()[0] == "count=720 cyclic=720 noncyclic=0"
+
     def test_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CHAINGROUP_BUDGET", "2")
         code, _, err = run(capsys, "perm", "enum", "--n", "4", "--k", "3")
         assert code == 2 and "budget" in err
+
+
+class TestBudgetEdges:
+    """CHAINGROUP_BUDGET at and beyond the ends of its range."""
+
+    @pytest.mark.parametrize(
+        "budget, expected",
+        [("-1", 2), ("0", 2), (str(10**20), 0)],
+        ids=["negative", "zero", "huge"],
+    )
+    def test_perm_summary(self, capsys, monkeypatch, budget, expected):
+        monkeypatch.setenv("CHAINGROUP_BUDGET", budget)
+        code, out, err = run(capsys, "perm", "enum", "--n", "4", "--k", "3", "--summary")
+        assert code == expected
+        if expected == 0:
+            assert out.splitlines()[0] == "count=12 cyclic=6 noncyclic=6"
+        else:
+            assert out == "" and f"exceeds the search budget {budget}" in err
+
+    @pytest.mark.parametrize("budget", ["-1", "0"], ids=["negative", "zero"])
+    def test_graph_brute_refused(self, capsys, monkeypatch, budget):
+        monkeypatch.setenv("CHAINGROUP_BUDGET", budget)
+        code, out, err = run(capsys, "graph", "brute", "--m", "8")
+        assert code == 2 and out == "" and f"exceeds the enumeration budget {budget}" in err
+
+    def test_suite_perm_negative_skips_every_item(self, capsys, monkeypatch):
+        monkeypatch.setenv("CHAINGROUP_BUDGET", "-1")
+        code, out, _ = run(capsys, "suite", "perm")
+        lines = out.splitlines()
+        assert code == 0
+        assert len(lines) == 12 and all(ln.startswith("[skip] ") for ln in lines[:11])
+        assert lines[-1] == "suite=perm items=11 failed=0"
 
 
 class TestGraphCommands:
@@ -324,8 +361,10 @@ print(json.dumps([sorted(before), sorted(loaded() - before), code]))
         (("braid", "eq", "--n", "3", "1 2 1", "2 1 2"), ["braids", "kernel", "oracle"]),
         (("perm", "enum", "--n", "5", "--k", "5", "--summary"), ["finite", "intmat"]),
         (("rh", "bounds", "--genus", "2", "--b", "0"), ["riemann_hurwitz"]),
+        (("suite", "rh"), ["riemann_hurwitz", "suites"]),
+        (("suite", "perm"), ["finite", "intmat", "suites"]),
     ],
-    ids=["import", "braid-eq", "perm-enum", "rh-bounds"],
+    ids=["import", "braid-eq", "perm-enum", "rh-bounds", "suite-rh", "suite-perm"],
 )
 def test_subcommand_imports_only_its_modules(argv, added):
     """Start-up loads the CLI alone; a subcommand adds just the modules it runs."""

@@ -8,14 +8,23 @@ from chaingroup.finite import (
     AbelianInvariants,
     LnParams,
     PermRep,
+    count_perm_reps,
     cycles,
     enum_perm_reps,
     ln_group,
+    perm_rep_classes,
     perm_rep_satisfies_relations,
     smith_normal_form,
     validate_params,
 )
-from chaingroup.suites import TABLE1, random_quotients_ok
+from chaingroup.suites import (
+    TABLE1,
+    all_cyclic,
+    first_equals_third,
+    noncyclic_exists,
+    random_quotients_ok,
+)
+from reference import enum_perm_reps_by_tables
 
 
 class TestSmithNormalForm:
@@ -299,3 +308,39 @@ class TestEnumPermRepsReference:
         slim = enum_perm_reps(n, k, dedup_conjugacy=True)
         assert slim == _dedup_by_min_conjugate(full)
 
+
+
+class TestSearchAgainstPairTables:
+    """The search up to conjugacy against the pair-table reference search."""
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(3, 8) for k in range(1, 7)])
+    def test_listing_counts_and_suite_verdicts(self, n, k):
+        full = enum_perm_reps_by_tables(n, k)
+        assert [r.images for r in enum_perm_reps(n, k)] == full
+        assert [r.images for r in enum_perm_reps(n, k, dedup_conjugacy=True)] == (
+            enum_perm_reps_by_tables(n, k, dedup_conjugacy=True)
+        )
+        cyclic = sum(1 for images in full if len(set(images)) == 1)
+        assert count_perm_reps(n, k) == (len(full), cyclic)
+
+        reps = [rep for _, reps in perm_rep_classes(n, k) for rep in reps]
+        full_reps = [PermRep(k, images) for images in full]
+        preds = (all_cyclic, noncyclic_exists) + ((first_equals_third,) if n >= 4 else ())
+        for pred in preds:
+            assert pred(reps) == pred(full_reps)
+
+    def test_classes_start_at_their_least_member(self):
+        classes = perm_rep_classes(5, 4)
+        assert sum(len(members) for members, _ in classes) == math.factorial(4)
+        for members, reps in classes:
+            types = {tuple(sorted(map(len, cycles(p)))) for p in members}
+            assert members == sorted(members) and len(types) == 1
+            assert all(rep.images[0] == members[0] for rep in reps)
+
+    def test_counting_has_the_budget_cap(self):
+        with pytest.raises(ValueError):
+            count_perm_reps(4, 7)
+        with pytest.raises(ValueError):
+            count_perm_reps(4, 4, budget=3)
+        with pytest.raises(ValueError):
+            count_perm_reps(2, 3)
