@@ -1,14 +1,14 @@
-"""Surface homology with its intersection pairing, and twists as transvections.
+"""Surface homology with the standard intersection form; twists as transvections.
 
-The closed genus-g surface is modeled by the rank-2g integer lattice with the
-standard unimodular symplectic form. A simple closed curve is seen only
-through its homology class (an integer vector, zero for separating curves,
-primitive otherwise), and the Dehn twist along it acts as the transvection
-x -> x + eps*<x,c>*c. Chains of curve classes, representations sending braid
-generators to transvection powers, their post-multiplications by a commuting
-direction matrix, and the recovery of the (chain, sign, direction) triple
-from raw matrices all live here. Boundary bookkeeping is carried by a formal
-central twist vector (CentralExtElement), never by a degenerate pairing.
+The closed genus-g surface is modeled by Z^2g with the standard symplectic
+form. A simple closed curve is seen only through its homology class (zero for
+separating curves, primitive otherwise), and the Dehn twist along it is the
+transvection x -> x + eps*<x,c>*c. The dense form J is never multiplied: Jv
+swaps coordinate pairs, a twist acts on a matrix as the rank-one update
+T_c^eps M = M + eps*c*((Jc)^T M), and a pairing-preserving M has inverse
+-J M^T J. Chains, their transvection representations, post-multiplication by
+a commuting direction, the recovery of (chain, sign, direction) from raw
+matrices, and formal central twist vectors (CentralExtElement) live here.
 """
 
 from __future__ import annotations
@@ -23,26 +23,37 @@ from .intmat import Matrix, Vector
 
 @dataclasses.dataclass(frozen=True)
 class SkewLattice:
-    """An integer lattice with a skew-symmetric pairing <x,y> = x^T J y."""
+    """H_1 of the genus-g surface: Z^2g with <x,y> = x^T J y, where
+    <x,y> = sum_i (x_{2i-1} y_{2i} - x_{2i} y_{2i-1}), so J is block diagonal
+    with blocks ((0, 1), (-1, 0)). Only the genus is stored; the dense J is
+    built on request and never on the homology path."""
 
-    rank: int
-    pairing: Matrix
+    genus: int
 
     def __post_init__(self):
-        object.__setattr__(self, "pairing", intmat.as_matrix(self.pairing))
-        J = self.pairing
-        if len(J) != self.rank or any(len(row) != self.rank for row in J):
-            raise ValueError("pairing matrix shape does not match rank")
-        for i in range(self.rank):
-            if J[i][i] != 0:
-                raise ValueError("pairing must have zero diagonal")
-            for j in range(self.rank):
-                if J[i][j] != -J[j][i]:
-                    raise ValueError("pairing must be skew-symmetric")
+        if self.genus < 1:
+            raise ValueError("homology model needs genus at least 1")
+
+    @property
+    def rank(self) -> int:
+        return 2 * self.genus
+
+    @property
+    def pairing(self) -> Matrix:
+        """The dense matrix J, whose column j is J e_j."""
+        return intmat.transpose(tuple(self.dual(e) for e in intmat.identity(self.rank)))
+
+    def dual(self, v: Sequence[int]) -> Vector:
+        """J v, so <x,v> = x . Jv: swap each coordinate pair, negate the second entry."""
+        if len(v) != self.rank:
+            raise ValueError(f"vector has length {len(v)}, lattice rank is {self.rank}")
+        out = [0] * self.rank
+        out[0::2] = v[1::2]
+        out[1::2] = [-x for x in v[0::2]]
+        return tuple(out)
 
     def pair(self, x: Sequence[int], y: Sequence[int]) -> int:
-        Jy = intmat.mat_vec(self.pairing, tuple(y))
-        return sum(a * b for a, b in zip(x, Jy, strict=True))
+        return sum(a * b for a, b in zip(x, self.dual(y), strict=True))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,13 +100,7 @@ NOT_RECOGNIZED = NotRecognized()
 
 def standard_lattice(g: int) -> SkewLattice:
     """Rank-2g lattice with <e_{2i-1}, e_{2i}> = 1 and all other basis pairs 0."""
-    if g < 1:
-        raise ValueError("homology model needs genus at least 1")
-    J = [[0] * (2 * g) for _ in range(2 * g)]
-    for i in range(g):
-        J[2 * i][2 * i + 1] = 1
-        J[2 * i + 1][2 * i] = -1
-    return SkewLattice(2 * g, intmat.as_matrix(J))
+    return SkewLattice(g)
 
 
 def build_chain(lat: SkewLattice, k: int) -> list[CurveClass]:
@@ -104,29 +109,20 @@ def build_chain(lat: SkewLattice, k: int) -> list[CurveClass]:
     Exists exactly for 1 <= k <= 2g+1. The vector scheme is one fixed choice;
     only the intersection pattern is the contract.
     """
-    g = lat.rank // 2
-    if lat.rank != 2 * g or lat != standard_lattice(g):
-        raise ValueError("build_chain expects the standard symplectic lattice")
+    g = lat.genus
     if k < 1:
         raise ValueError("chain length must be positive")
     if k > 2 * g + 1:
         raise ValueError(f"no chain of {k} classes in genus {g}: need k <= {2 * g + 1}")
-
-    def basis(i: int) -> list[int]:
-        vec = [0] * lat.rank
-        vec[i - 1] = 1
-        return vec
-
     chain = []
     for p in range(1, k + 1):
-        if p == 1:
-            vec = basis(1)
-        elif p % 2 == 0:
-            vec = basis(p)
+        vec = [0] * lat.rank
+        if p == 1 or p % 2 == 0:
+            vec[p - 1] = 1
         elif p < 2 * g + 1:
-            vec = [x + y for x, y in zip(basis(p - 2), basis(p))]
+            vec[p - 3] = vec[p - 1] = 1
         else:
-            vec = basis(2 * g - 1)
+            vec[2 * g - 2] = 1
         chain.append(CurveClass(tuple(vec)))
     _require_chain(lat, chain)
     return chain
@@ -147,16 +143,40 @@ def _require_chain(lat: SkewLattice, chain: Sequence[CurveClass]) -> None:
                 raise ValueError(f"distant classes {i},{j} must pair to 0, got {p}")
 
 
-def transvection_matrix(lat: SkewLattice, c: CurveClass, eps: int) -> Matrix:
-    """Matrix of x -> x + eps*<x,c>*c; the identity exactly when c = 0."""
+def twist_product(lat: SkewLattice, c: CurveClass, eps: int, m: Matrix) -> Matrix:
+    """T_c^eps M = M + eps*c*((Jc)^T M) in O(r^2): row i gains eps*c_i times
+    the row vector (Jc)^T M, and the rows where c is 0 are M's own rows."""
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
-    Jc = intmat.mat_vec(lat.pairing, c.v)
-    return intmat.mat_add(intmat.identity(lat.rank), intmat.mat_scale(intmat.outer(c.v, Jc), eps))
+    w = [0] * lat.rank
+    for a, row in zip(lat.dual(c.v), m, strict=True):
+        if a:
+            w = [x + a * y for x, y in zip(w, row)]
+    out = []
+    for ci, row in zip(c.v, m):
+        s = eps * ci
+        out.append(tuple(x + s * y for x, y in zip(row, w)) if s else row)
+    return tuple(out)
+
+
+def transvection_matrix(lat: SkewLattice, c: CurveClass, eps: int) -> Matrix:
+    """Matrix of x -> x + eps*<x,c>*c; the identity exactly when c = 0."""
+    return twist_product(lat, c, eps, intmat.identity(lat.rank))
+
+
+def _minus_j_mt_j(lat: SkewLattice, m: Matrix) -> Matrix:
+    """-J M^T J: J times each row of J M^T, whose columns are J times the rows of M."""
+    return tuple(map(lat.dual, intmat.transpose(tuple(map(lat.dual, m)))))
 
 
 def is_pairing_preserving(lat: SkewLattice, m: Matrix) -> bool:
-    return intmat.mat_mul(intmat.mat_mul(intmat.transpose(m), lat.pairing), m) == lat.pairing
+    """M^T J M = J, tested as M (-J M^T J) = I: multiply by J, use J^2 = -I."""
+    return intmat.mat_mul(m, _minus_j_mt_j(lat, m)) == intmat.identity(lat.rank)
+
+
+def symplectic_inverse(lat: SkewLattice, m: Matrix) -> Matrix | None:
+    """M^{-1} = -J M^T J when M preserves the pairing, else None."""
+    return _minus_j_mt_j(lat, m) if is_pairing_preserving(lat, m) else None
 
 
 def monodromy_rep(lat: SkewLattice, chain: Sequence[CurveClass], eps: int) -> list[Matrix]:
@@ -164,15 +184,13 @@ def monodromy_rep(lat: SkewLattice, chain: Sequence[CurveClass], eps: int) -> li
     relation, distant pairs commute, as matrix identities."""
     _require_chain(lat, chain)
     ms = [transvection_matrix(lat, c, eps) for c in chain]
-    for i in range(len(ms)):
+    for i, a in enumerate(chain):
         for j in range(i + 1, len(ms)):
+            # T_a x = T_b y: x, y = T_b, T_a, or T_b T_a, T_a T_b when adjacent
+            b, x, y = chain[j], ms[j], ms[i]
             if j == i + 1:
-                lhs = intmat.mat_mul(intmat.mat_mul(ms[i], ms[j]), ms[i])
-                rhs = intmat.mat_mul(intmat.mat_mul(ms[j], ms[i]), ms[j])
-            else:
-                lhs = intmat.mat_mul(ms[i], ms[j])
-                rhs = intmat.mat_mul(ms[j], ms[i])
-            if lhs != rhs:
+                x, y = twist_product(lat, b, eps, y), twist_product(lat, a, eps, x)
+            if twist_product(lat, a, eps, x) != twist_product(lat, b, eps, y):
                 raise RuntimeError(f"chain transvections {i + 1},{j + 1} violated a relation")
     return ms
 
@@ -182,43 +200,31 @@ def chain_product_square(lat: SkewLattice, chain: Sequence[CurveClass]) -> Matri
 
     For even k the result is minus the identity on the span of the chain; for
     odd k it fixes every chain class (the boundary classes of the chain
-    neighborhood pair to zero with each c_i).
+    neighborhood pair to zero with each c_i). Each factor, from the right
+    end, is one twist product.
     """
     if len(chain) < 2:
         raise ValueError("chain must have at least 2 classes")
     _require_chain(lat, chain)
-    ms = [transvection_matrix(lat, c, 1) for c in chain]
+    factors = [c for j in range(len(chain)) for c in chain[j::-1]]
     prod = intmat.identity(lat.rank)
-    for j in range(len(ms)):
-        for i in range(j, -1, -1):
-            prod = intmat.mat_mul(prod, ms[i])
-    return intmat.mat_mul(prod, prod)
+    for c in reversed(factors * 2):
+        prod = twist_product(lat, c, 1, prod)
+    return prod
 
 
 def _rank_one_square(c: Matrix) -> Vector | None:
     """Solve c = b b^T for a primitive integer b, else None."""
-    n = len(c)
-    if any(c[i][j] != c[j][i] for i in range(n) for j in range(n)):
-        return None
-    j0 = next((j for j in range(n) if c[j][j] != 0), None)
-    if j0 is None:
-        return None
-    if c[j0][j0] < 0:
+    j0 = next((j for j, row in enumerate(c) if row[j]), None)
+    if j0 is None or c[j0][j0] < 0:
         return None
     bj = math.isqrt(c[j0][j0])
-    if bj * bj != c[j0][j0]:
+    if bj * bj != c[j0][j0] or any(row[j0] % bj for row in c):
         return None
-    b = []
-    for i in range(n):
-        if c[i][j0] % bj != 0:
-            return None
-        b.append(c[i][j0] // bj)
-    b_t = tuple(b)
-    if intmat.outer(b_t, b_t) != c:
+    b = tuple(row[j0] // bj for row in c)
+    if intmat.outer(b, b) != c or intmat.primitive(b) != b:
         return None
-    if intmat.primitive(b_t) not in (b_t, tuple(-x for x in b_t)):
-        return None
-    return intmat.sign_normalized(b_t)
+    return intmat.sign_normalized(b)
 
 
 def extract_triple(
@@ -228,11 +234,13 @@ def extract_triple(
 
     All-equal input yields CyclicVerdict. Otherwise M_1 M_3^{-1} and
     M_1 M_4^{-1} are differences of two commuting transvections; their images
-    intersect in the line of the first chain class, which together with the
-    sign determines the direction V = T_{c_1}^{-eps} M_1 and then every other
-    class. Anything inconsistent yields NotRecognized. Recovered classes are
-    sign-normalized (first nonzero coordinate positive); eps carries the
-    orientation ambiguity.
+    intersect in the line of the first chain class, which with the sign gives
+    the direction V = T_{c_1}^{-eps} M_1 and then each c_i c_i^T as
+    eps (M_i V^{-1} - I) J. Every inverse is -J M^T J of a pairing-preserving
+    matrix, and c_i commutes with V exactly when Vc_i = +-c_i, as
+    V T_c V^{-1} = T_{Vc}. Anything inconsistent yields NotRecognized.
+    Recovered classes are sign-normalized (first nonzero coordinate positive);
+    eps carries the orientation ambiguity.
     """
     ms = [intmat.as_matrix(m) for m in ms]
     if len(ms) < 5:
@@ -244,8 +252,8 @@ def extract_triple(
         return CYCLIC
 
     ident = intmat.identity(lat.rank)
-    inv3 = intmat.int_inverse(ms[2])
-    inv4 = intmat.int_inverse(ms[3])
+    inv3 = symplectic_inverse(lat, ms[2])
+    inv4 = symplectic_inverse(lat, ms[3])
     if inv3 is None or inv4 is None:
         return NOT_RECOGNIZED
     d13 = intmat.mat_sub(intmat.mat_mul(ms[0], inv3), ident)
@@ -259,34 +267,28 @@ def extract_triple(
         return NOT_RECOGNIZED
     c1 = CurveClass(intmat.sign_normalized(common[0]))
 
-    j_inv = intmat.int_inverse(lat.pairing)
-    if j_inv is None:
-        return NOT_RECOGNIZED
     for eps in (1, -1):
-        v = intmat.mat_mul(transvection_matrix(lat, c1, -eps), ms[0])
-        v_inv = intmat.int_inverse(v)
-        if v_inv is None or not is_pairing_preserving(lat, v):
+        v = twist_product(lat, c1, -eps, ms[0])
+        v_inv = symplectic_inverse(lat, v)
+        if v_inv is None:
             continue
         chain: list[CurveClass] = []
-        ok = True
         for m in ms:
             d = intmat.mat_sub(intmat.mat_mul(m, v_inv), ident)
-            c_mat = intmat.mat_scale(intmat.mat_mul(d, j_inv), -eps)
-            b = _rank_one_square(c_mat)
+            # eps d J, row by row: x J = -J x
+            b = _rank_one_square(intmat.mat_scale(tuple(map(lat.dual, d)), -eps))
             if b is None:
-                ok = False
                 break
             chain.append(CurveClass(b))
-        if not ok or chain[0] != c1:
+        if len(chain) != len(ms) or chain[0] != c1:
             continue
         try:
             _require_chain(lat, chain)
         except ValueError:
             continue
-        twists = [transvection_matrix(lat, c, eps) for c in chain]
-        if any(intmat.mat_mul(t, v) != intmat.mat_mul(v, t) for t in twists):
+        if any(intmat.mat_vec(v, c.v) not in (c.v, tuple(-x for x in c.v)) for c in chain):
             continue
-        if any(intmat.mat_mul(t, v) != m for t, m in zip(twists, ms)):
+        if any(twist_product(lat, c, eps, v) != m for c, m in zip(chain, ms)):
             continue
         return TransvectionTriple(tuple(chain), eps, v)
     return NOT_RECOGNIZED
@@ -365,6 +367,8 @@ def parse_matrix(text: str) -> Matrix:
     if not lines or not lines[0].strip().startswith("rank="):
         raise ValueError("matrix text must start with rank=<int>")
     r = int(lines[0].strip()[5:])
+    if r < 1:
+        raise ValueError(f"matrix rank must be at least 1, got {r}")
     if len(lines) != r + 1:
         raise ValueError(f"expected {r} matrix rows, got {len(lines) - 1}")
     rows = [tuple(int(t) for t in ln.split()) for ln in lines[1:]]

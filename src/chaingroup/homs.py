@@ -31,6 +31,8 @@ class BraidHom:
 
     def __post_init__(self):
         object.__setattr__(self, "images", tuple(self.images))
+        if self.n < 2:
+            raise ValueError(f"strand count must be at least 2, got {self.n}")
         if len(self.images) != self.n - 1:
             raise ValueError(f"need {self.n - 1} generator images, got {len(self.images)}")
         for w in self.images:

@@ -39,12 +39,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v, strict=True)) for row in a)
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(x + y for x, y in zip(r, s, strict=True)) for r, s in zip(a, b, strict=True)
-    )
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(x - y for x, y in zip(r, s, strict=True)) for r, s in zip(a, b, strict=True)

@@ -8,6 +8,11 @@ is sequence comparison. Words act left-to-right: artin_action(u * v) is
 artin_action(u) followed by artin_action(v). Its words can grow exponentially
 with the braid word.
 
+The dense symplectic form is the reference for chaingroup.homology's
+structured arithmetic: the matrix J built entry by entry, transvections as
+I + eps*outer(c, Jc), pairing preservation as M^T J M == J, and inverses by
+integer elimination (intmat.int_inverse).
+
 The pair-table permutation search is the reference for
 chaingroup.finite's search up to conjugacy: it tabulates, for every
 permutation of k symbols, its braid partners and the permutations it
@@ -157,6 +162,31 @@ def apply_transvection(
         if intmat.mat_mul(m, v) != intmat.mat_mul(v, m):
             raise ValueError("direction must commute with every matrix of the rep")
     return [intmat.mat_mul(m, v) for m in rep]
+
+
+# ------------------------------------------------ dense symplectic form ----
+
+
+def dense_pairing(g: int) -> Matrix:
+    """The standard form's matrix: J[2i][2i+1] = 1, J[2i+1][2i] = -1, else 0."""
+    J = [[0] * (2 * g) for _ in range(2 * g)]
+    for i in range(g):
+        J[2 * i][2 * i + 1] = 1
+        J[2 * i + 1][2 * i] = -1
+    return intmat.as_matrix(J)
+
+
+def dense_transvection(J: Matrix, c: Sequence[int], eps: int) -> Matrix:
+    """I + eps * outer(c, Jc), the matrix of x -> x + eps*<x,c>*c."""
+    jc = intmat.mat_vec(J, tuple(c))
+    return tuple(
+        tuple(int(i == j) + eps * ci * jcj for j, jcj in enumerate(jc)) for i, ci in enumerate(c)
+    )
+
+
+def dense_preserves(J: Matrix, m: Matrix) -> bool:
+    """M^T J M == J."""
+    return intmat.mat_mul(intmat.mat_mul(intmat.transpose(m), J), m) == J
 
 
 # ------------------------------------------------- permutation search ----

@@ -79,6 +79,14 @@ class TestHomCommands:
         code, out, _ = run(capsys, "hom", "cyclic", str(path))
         assert code == 0 and out.startswith("cyclic")
 
+    @pytest.mark.parametrize("op", ["verify", "cyclic"])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_source_strands_is_usage_error(self, capsys, monkeypatch, op, n):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"n={n} m=3\n"))
+        code, out, err = run(capsys, "hom", op, "-")
+        assert (code, out) == (2, "")
+        assert err == f"error: strand count must be at least 2, got {n}\n"
+
 
 class TestHomologyCommands:
     def test_chain(self, capsys):
@@ -122,6 +130,11 @@ class TestHomologyCommands:
         path.write_text(blob)
         code, out, err = run(capsys, "homology", "extract", str(path))
         assert code == 2 and out == "" and "not 2x2" in err
+
+    def test_lift_rank_zero_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("rank=0\ntwist=\n\nrank=0\ntwist=\n"))
+        code, out, err = run(capsys, "homology", "lift", "-")
+        assert (code, out, err) == (2, "", "error: matrix rank must be at least 1, got 0\n")
 
     def test_lift(self, capsys, tmp_path):
         lat = standard_lattice(2)

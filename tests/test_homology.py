@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaingroup import intmat
 from chaingroup.homology import (
@@ -9,7 +10,6 @@ from chaingroup.homology import (
     CentralExtElement,
     CurveClass,
     CyclicVerdict,
-    SkewLattice,
     TransvectionTriple,
     build_chain,
     chain_product_square,
@@ -21,9 +21,16 @@ from chaingroup.homology import (
     monodromy_rep,
     parse_matrix,
     standard_lattice,
+    symplectic_inverse,
     transvection_matrix,
+    twist_product,
 )
-from reference import apply_transvection
+from reference import (
+    apply_transvection,
+    dense_pairing,
+    dense_preserves,
+    dense_transvection,
+)
 
 
 def random_primitive(rng, rank):
@@ -64,12 +71,6 @@ class TestStandardLattice:
     def test_genus_zero_unsupported(self):
         with pytest.raises(ValueError):
             standard_lattice(0)
-
-    def test_pairing_validation(self):
-        with pytest.raises(ValueError):
-            SkewLattice(2, ((0, 1), (1, 0)))
-        with pytest.raises(ValueError):
-            SkewLattice(2, ((1, 1), (-1, 0)))
 
 
 class TestCurveClass:
@@ -145,6 +146,94 @@ class TestTransvection:
                 lhs = intmat.mat_mul(intmat.mat_mul(ta, tb), ta)
                 rhs = intmat.mat_mul(intmat.mat_mul(tb, ta), tb)
                 assert lhs == rhs
+
+
+GENERA = st.integers(1, 5)
+SIGNS = st.sampled_from((1, -1))
+
+
+def vectors(g):
+    return st.tuples(*[st.integers(-3, 3)] * (2 * g))
+
+
+def matrices(g):
+    return st.tuples(*[vectors(g)] * (2 * g))
+
+
+@st.composite
+def dense_symplectic(draw, g, along=None):
+    """A product of up to six dense transvections, along any integer vectors
+    or only along the given ones."""
+    J = dense_pairing(g)
+    m = intmat.identity(2 * g)
+    for c in draw(st.lists(vectors(g) if along is None else st.sampled_from(along), max_size=6)):
+        m = intmat.mat_mul(m, dense_transvection(J, c, draw(SIGNS)))
+    return m
+
+
+class TestStructuredAgainstDense:
+    """The structured routines of the standard form against dense J products."""
+
+    @settings(deadline=None)
+    @given(GENERA.flatmap(lambda g: st.tuples(vectors(g), vectors(g))))
+    def test_pair_is_x_transpose_j_y(self, xy):
+        x, y = xy
+        lat, J = standard_lattice(len(x) // 2), dense_pairing(len(x) // 2)
+        assert lat.pairing == J
+        assert lat.dual(y) == intmat.mat_vec(J, y)
+        assert lat.pair(x, y) == sum(a * b for a, b in zip(x, intmat.mat_vec(J, y)))
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_twist_product_is_the_dense_product(self, data):
+        g = data.draw(GENERA)
+        lat, J = standard_lattice(g), dense_pairing(g)
+        c, eps = intmat.primitive(data.draw(vectors(g))), data.draw(SIGNS)
+        m = data.draw(st.one_of(dense_symplectic(g), matrices(g)))
+        t = dense_transvection(J, c, eps)
+        assert transvection_matrix(lat, CurveClass(c), eps) == t
+        assert twist_product(lat, CurveClass(c), eps, m) == intmat.mat_mul(t, m)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_inverse_is_elimination_on_exactly_the_preserving_matrices(self, data):
+        g = data.draw(GENERA)
+        lat, J = standard_lattice(g), dense_pairing(g)
+        m = [list(row) for row in data.draw(st.one_of(dense_symplectic(g), matrices(g)))]
+        if data.draw(st.booleans()):
+            i, j = data.draw(st.integers(0, 2 * g - 1)), data.draw(st.integers(0, 2 * g - 1))
+            m[i][j] += data.draw(st.sampled_from((-2, -1, 1, 2)))
+        m = intmat.as_matrix(m)
+        inv, preserves = symplectic_inverse(lat, m), dense_preserves(J, m)
+        assert is_pairing_preserving(lat, m) == preserves
+        assert (inv is not None) == preserves
+        if preserves:
+            assert inv == intmat.int_inverse(m)
+
+    def test_chain_product_square_is_the_dense_product(self):
+        for g in (1, 2, 3):
+            lat, J = standard_lattice(g), dense_pairing(g)
+            for k in range(2, 2 * g + 2):
+                chain = build_chain(lat, k)
+                prod = intmat.identity(2 * g)
+                for j in range(k):
+                    for c in chain[j::-1]:
+                        prod = intmat.mat_mul(prod, dense_transvection(J, c.v, 1))
+                assert chain_product_square(lat, chain) == intmat.mat_mul(prod, prod)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_class_fixed_up_to_sign_iff_twist_commutes(self, data):
+        g = data.draw(GENERA)
+        J = dense_pairing(g)
+        c = intmat.primitive(data.draw(vectors(g).filter(any)))
+        # the classes pairing to zero with c, whose transvections fix it
+        fixers = intmat.kernel_basis((intmat.mat_vec(J, c),))
+        v = data.draw(st.one_of(dense_symplectic(g), dense_symplectic(g, fixers + [c])))
+        v = intmat.mat_scale(v, data.draw(SIGNS))
+        t = dense_transvection(J, c, 1)
+        fixed = intmat.mat_vec(v, c) in (c, tuple(-x for x in c))
+        assert fixed == (intmat.mat_mul(t, v) == intmat.mat_mul(v, t))
 
 
 class TestMonodromyRep:
@@ -282,6 +371,15 @@ class TestExtractTriple:
         ms = [intmat.mat_mul(m, bad) for m in rep]
         res = extract_triple(lat, ms)
         assert isinstance(res, type(NOT_RECOGNIZED))
+
+    def test_twist_along_a_multiple_not_recognized(self):
+        """T_{2c} V has (M V^-1 - I) J = eps (2c)(2c)^T, which names no class."""
+        lat = standard_lattice(3)
+        chain = build_chain(lat, 5)
+        ms = monodromy_rep(lat, chain, 1)
+        doubled = tuple(2 * x for x in chain[4].v)
+        ms[4] = dense_transvection(dense_pairing(3), doubled, 1)
+        assert extract_triple(lat, ms) is NOT_RECOGNIZED
 
     def test_needs_five_matrices(self):
         lat = standard_lattice(3)
