@@ -130,7 +130,7 @@ def _parse_elements(text: str) -> list[homology.CentralExtElement]:
         twist: tuple[int, ...] = ()
         if lines and lines[-1].startswith("twist="):
             raw = lines.pop()[6:]
-            twist = tuple(int(t) for t in raw.split(",") if t)
+            twist = tuple(int(t) for t in raw.split(",")) if raw else ()
         mat = homology.parse_matrix("\n".join(lines))
         out.append(homology.CentralExtElement(mat, twist))
     return out

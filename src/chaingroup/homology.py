@@ -3,18 +3,19 @@
 The closed genus-g surface is modeled by Z^2g with the standard symplectic
 form. A simple closed curve is seen only through its homology class (zero for
 separating curves, primitive otherwise), and the Dehn twist along it is the
-transvection x -> x + eps*<x,c>*c. The dense form J is never multiplied: Jv
-swaps coordinate pairs, a twist acts on a matrix as the rank-one update
-T_c^eps M = M + eps*c*((Jc)^T M), and a pairing-preserving M has inverse
--J M^T J. Chains, their transvection representations, post-multiplication by
-a commuting direction, the recovery of (chain, sign, direction) from raw
-matrices, and formal central twist vectors (CentralExtElement) live here.
+transvection x -> x + eps*<x,c>*c. The dense form J is never built: Jv swaps
+coordinate pairs, and a twist acts on a matrix as the rank-one update
+T_c^eps M = M + eps*c*((Jc)^T M). So a transvected representation
+M_i = T_{c_i}^eps V differs from its direction V by rank-one matrices, and
+the recovery of (chain, sign, direction) reads the classes off the columns
+of those differences, with no inverse and no square root. Chains, their
+transvection representations, and formal central twist vectors
+(CentralExtElement) live here too.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Sequence
 
 from . import intmat
@@ -25,8 +26,8 @@ from .intmat import Matrix, Vector
 class SkewLattice:
     """H_1 of the genus-g surface: Z^2g with <x,y> = x^T J y, where
     <x,y> = sum_i (x_{2i-1} y_{2i} - x_{2i} y_{2i-1}), so J is block diagonal
-    with blocks ((0, 1), (-1, 0)). Only the genus is stored; the dense J is
-    built on request and never on the homology path."""
+    with blocks ((0, 1), (-1, 0)). Only the genus is stored; J acts through
+    dual and is never built."""
 
     genus: int
 
@@ -37,11 +38,6 @@ class SkewLattice:
     @property
     def rank(self) -> int:
         return 2 * self.genus
-
-    @property
-    def pairing(self) -> Matrix:
-        """The dense matrix J, whose column j is J e_j."""
-        return intmat.transpose(tuple(self.dual(e) for e in intmat.identity(self.rank)))
 
     def dual(self, v: Sequence[int]) -> Vector:
         """J v, so <x,v> = x . Jv: swap each coordinate pair, negate the second entry."""
@@ -164,19 +160,11 @@ def transvection_matrix(lat: SkewLattice, c: CurveClass, eps: int) -> Matrix:
     return twist_product(lat, c, eps, intmat.identity(lat.rank))
 
 
-def _minus_j_mt_j(lat: SkewLattice, m: Matrix) -> Matrix:
-    """-J M^T J: J times each row of J M^T, whose columns are J times the rows of M."""
-    return tuple(map(lat.dual, intmat.transpose(tuple(map(lat.dual, m)))))
-
-
 def is_pairing_preserving(lat: SkewLattice, m: Matrix) -> bool:
-    """M^T J M = J, tested as M (-J M^T J) = I: multiply by J, use J^2 = -I."""
-    return intmat.mat_mul(m, _minus_j_mt_j(lat, m)) == intmat.identity(lat.rank)
-
-
-def symplectic_inverse(lat: SkewLattice, m: Matrix) -> Matrix | None:
-    """M^{-1} = -J M^T J when M preserves the pairing, else None."""
-    return _minus_j_mt_j(lat, m) if is_pairing_preserving(lat, m) else None
+    """M^T J M = J, tested as M (-J M^T J) = I: multiply by J, use J^2 = -I.
+    -J M^T J is J times each row of J M^T, whose columns are J times the rows of M."""
+    minus_j_mt_j = tuple(map(lat.dual, intmat.transpose(tuple(map(lat.dual, m)))))
+    return intmat.mat_mul(m, minus_j_mt_j) == intmat.identity(lat.rank)
 
 
 def monodromy_rep(lat: SkewLattice, chain: Sequence[CurveClass], eps: int) -> list[Matrix]:
@@ -213,34 +201,20 @@ def chain_product_square(lat: SkewLattice, chain: Sequence[CurveClass]) -> Matri
     return prod
 
 
-def _rank_one_square(c: Matrix) -> Vector | None:
-    """Solve c = b b^T for a primitive integer b, else None."""
-    j0 = next((j for j, row in enumerate(c) if row[j]), None)
-    if j0 is None or c[j0][j0] < 0:
-        return None
-    bj = math.isqrt(c[j0][j0])
-    if bj * bj != c[j0][j0] or any(row[j0] % bj for row in c):
-        return None
-    b = tuple(row[j0] // bj for row in c)
-    if intmat.outer(b, b) != c or intmat.primitive(b) != b:
-        return None
-    return intmat.sign_normalized(b)
-
-
 def extract_triple(
     lat: SkewLattice, ms: Sequence[Matrix]
 ) -> TransvectionTriple | CyclicVerdict | NotRecognized:
     """Recover (chain, eps, direction) from generator-image matrices.
 
-    All-equal input yields CyclicVerdict. Otherwise M_1 M_3^{-1} and
-    M_1 M_4^{-1} are differences of two commuting transvections; their images
-    intersect in the line of the first chain class, which with the sign gives
-    the direction V = T_{c_1}^{-eps} M_1 and then each c_i c_i^T as
-    eps (M_i V^{-1} - I) J. Every inverse is -J M^T J of a pairing-preserving
-    matrix, and c_i commutes with V exactly when Vc_i = +-c_i, as
-    V T_c V^{-1} = T_{Vc}. Anything inconsistent yields NotRecognized.
-    Recovered classes are sign-normalized (first nonzero coordinate positive);
-    eps carries the orientation ambiguity.
+    All-equal input yields CyclicVerdict. Otherwise M_i = T_{c_i}^eps V makes
+    each M_i - V = eps*c_i*((Jc_i)^T V) rank one, so M_1 - M_3 and M_1 - M_4
+    have column spaces span(c_1, c_3) and span(c_1, c_4), which meet in the
+    line of c_1. With the sign that gives the direction V = T_{c_1}^{-eps} M_1,
+    and each c_i is the primitive form of any nonzero column of M_i - V. V
+    must preserve the pairing, and c_i commutes with V exactly when
+    Vc_i = +-c_i, as V T_c V^{-1} = T_{Vc}. Anything inconsistent yields
+    NotRecognized. Recovered classes are sign-normalized (first nonzero
+    coordinate positive); eps carries the orientation ambiguity.
     """
     ms = [intmat.as_matrix(m) for m in ms]
     if len(ms) < 5:
@@ -251,15 +225,8 @@ def extract_triple(
     if all(m == ms[0] for m in ms):
         return CYCLIC
 
-    ident = intmat.identity(lat.rank)
-    inv3 = symplectic_inverse(lat, ms[2])
-    inv4 = symplectic_inverse(lat, ms[3])
-    if inv3 is None or inv4 is None:
-        return NOT_RECOGNIZED
-    d13 = intmat.mat_sub(intmat.mat_mul(ms[0], inv3), ident)
-    d14 = intmat.mat_sub(intmat.mat_mul(ms[0], inv4), ident)
-    im13 = intmat.column_space_basis(d13)
-    im14 = intmat.column_space_basis(d14)
+    im13 = intmat.column_space_basis(intmat.mat_sub(ms[0], ms[2]))
+    im14 = intmat.column_space_basis(intmat.mat_sub(ms[0], ms[3]))
     if len(im13) != 2 or len(im14) != 2:
         return NOT_RECOGNIZED
     common = intmat.intersect_spans(im13, im14)
@@ -269,17 +236,14 @@ def extract_triple(
 
     for eps in (1, -1):
         v = twist_product(lat, c1, -eps, ms[0])
-        v_inv = symplectic_inverse(lat, v)
-        if v_inv is None:
+        if not is_pairing_preserving(lat, v):
             continue
         chain: list[CurveClass] = []
         for m in ms:
-            d = intmat.mat_sub(intmat.mat_mul(m, v_inv), ident)
-            # eps d J, row by row: x J = -J x
-            b = _rank_one_square(intmat.mat_scale(tuple(map(lat.dual, d)), -eps))
-            if b is None:
+            col = next((col for col in zip(*intmat.mat_sub(m, v)) if any(col)), None)
+            if col is None:
                 break
-            chain.append(CurveClass(b))
+            chain.append(CurveClass(intmat.sign_normalized(intmat.primitive(col))))
         if len(chain) != len(ms) or chain[0] != c1:
             continue
         try:

@@ -45,16 +45,8 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_scale(a: Matrix, c: int) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
-
-
-def outer(u: Vector, v: Vector) -> Matrix:
-    return tuple(tuple(x * y for y in v) for x in u)
 
 
 def primitive(v: Sequence[int]) -> Vector:

@@ -10,8 +10,16 @@ with the braid word.
 
 The dense symplectic form is the reference for chaingroup.homology's
 structured arithmetic: the matrix J built entry by entry, transvections as
-I + eps*outer(c, Jc), pairing preservation as M^T J M == J, and inverses by
-integer elimination (intmat.int_inverse).
+I + eps*outer(c, Jc), and pairing preservation as M^T J M == J. The triple
+recovery by inverses is the reference for homology.extract_triple, which
+reads the classes off matrix differences: it inverts a pairing-preserving M
+as -J M^T J, and takes each class c_i from eps*(M_i V^-1 - I)*J = c_i c_i^T
+by an integer square root.
+
+The restarting Smith normal form is the reference for
+chaingroup.finite.smith_normal_form: it pivots on the least entry of the
+whole remaining block, restarts whenever a reduction leaves a remainder, and
+adds a row whenever the pivot fails to divide the rest of the block.
 
 The pair-table permutation search is the reference for
 chaingroup.finite's search up to conjugacy: it tabulates, for every
@@ -26,12 +34,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 from typing import Iterable, Iterator, Sequence
 
-from chaingroup import braids, homology, intmat
+from chaingroup import braids, finite, homology, intmat
 from chaingroup.braids import BraidWord
 from chaingroup.homs import BraidHom
-from chaingroup.intmat import Matrix
+from chaingroup.intmat import Matrix, Vector
 
 
 # ------------------------------------------------------- free reduction ----
@@ -187,6 +196,153 @@ def dense_transvection(J: Matrix, c: Sequence[int], eps: int) -> Matrix:
 def dense_preserves(J: Matrix, m: Matrix) -> bool:
     """M^T J M == J."""
     return intmat.mat_mul(intmat.mat_mul(intmat.transpose(m), J), m) == J
+
+
+def negated(m: Matrix) -> Matrix:
+    return tuple(tuple(-x for x in row) for row in m)
+
+
+# ------------------------------------------- triple recovery by inverses ----
+
+
+def symplectic_inverse(lat: homology.SkewLattice, m: Matrix) -> Matrix | None:
+    """M^{-1} = -J M^T J when M preserves the pairing, else None."""
+    inv = tuple(map(lat.dual, intmat.transpose(tuple(map(lat.dual, m)))))
+    return inv if intmat.mat_mul(m, inv) == intmat.identity(lat.rank) else None
+
+
+def _rank_one_square(c: Matrix) -> Vector | None:
+    """Solve c = b b^T for a primitive integer b, else None."""
+    j0 = next((j for j, row in enumerate(c) if row[j]), None)
+    if j0 is None or c[j0][j0] < 0:
+        return None
+    bj = math.isqrt(c[j0][j0])
+    if bj * bj != c[j0][j0] or any(row[j0] % bj for row in c):
+        return None
+    b = tuple(row[j0] // bj for row in c)
+    if tuple(tuple(x * y for y in b) for x in b) != c or intmat.primitive(b) != b:
+        return None
+    return intmat.sign_normalized(b)
+
+
+def extract_triple_by_inverses(lat: homology.SkewLattice, ms: Sequence[Matrix]):
+    """Recover (chain, eps, direction) as homology.extract_triple does.
+
+    M_1 M_3^{-1} and M_1 M_4^{-1} are differences of two commuting
+    transvections; their images intersect in the line of the first chain
+    class, which with the sign gives the direction V = T_{c_1}^{-eps} M_1 and
+    then each c_i c_i^T as eps (M_i V^{-1} - I) J.
+    """
+    ms = [intmat.as_matrix(m) for m in ms]
+    if len(ms) < 5:
+        raise ValueError("need at least 5 matrices (chain length >= 5)")
+    for i, m in enumerate(ms):
+        if len(m) != lat.rank or any(len(row) != lat.rank for row in m):
+            raise ValueError(f"matrix {i + 1} is not {lat.rank}x{lat.rank}")
+    if all(m == ms[0] for m in ms):
+        return homology.CYCLIC
+
+    ident = intmat.identity(lat.rank)
+    inv3 = symplectic_inverse(lat, ms[2])
+    inv4 = symplectic_inverse(lat, ms[3])
+    if inv3 is None or inv4 is None:
+        return homology.NOT_RECOGNIZED
+    d13 = intmat.mat_sub(intmat.mat_mul(ms[0], inv3), ident)
+    d14 = intmat.mat_sub(intmat.mat_mul(ms[0], inv4), ident)
+    im13 = intmat.column_space_basis(d13)
+    im14 = intmat.column_space_basis(d14)
+    if len(im13) != 2 or len(im14) != 2:
+        return homology.NOT_RECOGNIZED
+    common = intmat.intersect_spans(im13, im14)
+    if len(common) != 1:
+        return homology.NOT_RECOGNIZED
+    c1 = homology.CurveClass(intmat.sign_normalized(common[0]))
+
+    for eps in (1, -1):
+        v = homology.twist_product(lat, c1, -eps, ms[0])
+        v_inv = symplectic_inverse(lat, v)
+        if v_inv is None:
+            continue
+        chain: list[homology.CurveClass] = []
+        for m in ms:
+            d = intmat.mat_sub(intmat.mat_mul(m, v_inv), ident)
+            # eps d J, row by row: x J = -J x
+            b = _rank_one_square(tuple(tuple(-eps * x for x in lat.dual(row)) for row in d))
+            if b is None:
+                break
+            chain.append(homology.CurveClass(b))
+        if len(chain) != len(ms) or chain[0] != c1:
+            continue
+        try:
+            homology._require_chain(lat, chain)
+        except ValueError:
+            continue
+        if any(intmat.mat_vec(v, c.v) not in (c.v, tuple(-x for x in c.v)) for c in chain):
+            continue
+        if any(homology.twist_product(lat, c, eps, v) != m for c, m in zip(chain, ms)):
+            continue
+        return homology.TransvectionTriple(tuple(chain), eps, v)
+    return homology.NOT_RECOGNIZED
+
+
+# ------------------------------------------------- Smith normal form ----
+
+
+def smith_normal_form_restarting(rows: Sequence[Sequence[int]]) -> finite.AbelianInvariants:
+    """Invariant factors of Z^cols modulo the row lattice."""
+    a = [list(map(int, row)) for row in rows]
+    ncols = len(a[0]) if a else 0
+    if any(len(row) != ncols for row in a):
+        raise ValueError("rows must have equal length")
+    factors = []
+    top = 0
+    while top < min(len(a), ncols):
+        pivot = None
+        best = None
+        for i in range(top, len(a)):
+            for j in range(top, ncols):
+                v = abs(a[i][j])
+                if v and (best is None or v < best):
+                    best, pivot = v, (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        a[top], a[pi] = a[pi], a[top]
+        for row in a:
+            row[top], row[pj] = row[pj], row[top]
+        # clear the pivot row and column; restart if a smaller entry appears
+        dirty = False
+        piv = a[top][top]
+        for i in range(top + 1, len(a)):
+            if a[i][top]:
+                q = a[i][top] // piv
+                a[i] = [x - q * y for x, y in zip(a[i], a[top])]
+                if a[i][top]:
+                    dirty = True
+        for j in range(top + 1, ncols):
+            if a[top][j]:
+                q = a[top][j] // piv
+                for row in a:
+                    row[j] -= q * row[top]
+                if a[top][j]:
+                    dirty = True
+        if dirty:
+            continue
+        # pivot must divide every remaining entry for the chain property
+        offender = None
+        for i in range(top + 1, len(a)):
+            for j in range(top + 1, ncols):
+                if a[i][j] % piv != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            a[top] = [x + y for x, y in zip(a[top], a[offender])]
+            continue
+        factors.append(abs(piv))
+        top += 1
+    return finite.AbelianInvariants(tuple(factors), ncols - len(factors))
 
 
 # ------------------------------------------------- permutation search ----

@@ -11,7 +11,7 @@ import time
 
 from chaingroup import braids, homology, homs, intmat, oracle, suites
 from chaingroup.braids import BraidWord
-from reference import apply_transvection
+from reference import apply_transvection, negated
 
 
 def _report(tag, started):
@@ -115,9 +115,9 @@ def test_07_homology_suite():
         if kind == "id":
             direction = intmat.identity(lat.rank)
         elif kind == "neg":
-            direction = intmat.mat_scale(intmat.identity(lat.rank), -1)
+            direction = negated(intmat.identity(lat.rank))
         else:
-            rows = tuple(tuple(intmat.mat_vec(lat.pairing, c.v)) for c in chain)
+            rows = tuple(lat.dual(c.v) for c in chain)
             basis = intmat.kernel_basis(rows)
             if basis:
                 u = homology.CurveClass(intmat.primitive(basis[rng.randrange(len(basis))]))

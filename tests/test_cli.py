@@ -136,6 +136,17 @@ class TestHomologyCommands:
         code, out, err = run(capsys, "homology", "lift", "-")
         assert (code, out, err) == (2, "", "error: matrix rank must be at least 1, got 0\n")
 
+    def test_lift_empty_twist_field_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("rank=2\n1 0\n0 1\ntwist=1,,2\n"))
+        code, out, _ = run(capsys, "homology", "lift", "-")
+        assert (code, out) == (2, "")
+
+    def test_lift_bare_twist_is_the_empty_vector(self, capsys, monkeypatch):
+        block = "rank=2\n1 0\n0 1\ntwist=\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(block))
+        code, out, _ = run(capsys, "homology", "lift", "-")
+        assert (code, out) == (0, block + "check=central-defect-correction count=1\n")
+
     def test_lift(self, capsys, tmp_path):
         lat = standard_lattice(2)
         rep = monodromy_rep(lat, build_chain(lat, 3), 1)
@@ -164,6 +175,19 @@ class TestLnCommands:
             capsys, "ln", "card", "--r", "3", "--M", "3", "--m", "3", "--d", "3", "--s", "9"
         )
         assert code == 0 and out.splitlines()[0] == "27"
+
+    def test_card_at_100_generators(self, capsys):
+        code, out, _ = run(
+            capsys, "ln", "card", "--r", "100", "--M", "12", "--m", "4", "--d", "1", "--s", "4"
+        )
+        factors = ",".join(["1"] + ["4"] * 98 + ["12"])
+        assert (code, out) == (0, f"{3 * 4**99}\ncheck=quotient-cardinality factors={factors}\n")
+
+    def test_card_above_the_generator_cap_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "ln", "card", "--r", "201", "--M", "3", "--m", "3", "--d", "3", "--s", "9"
+        )
+        assert (code, out) == (2, "") and "at most 200 generators" in err
 
     def test_snf(self, capsys, tmp_path):
         path = tmp_path / "rows.txt"

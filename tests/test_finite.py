@@ -24,7 +24,7 @@ from chaingroup.suites import (
     noncyclic_exists,
     random_quotients_ok,
 )
-from reference import enum_perm_reps_by_tables
+from reference import enum_perm_reps_by_tables, smith_normal_form_restarting
 
 
 class TestSmithNormalForm:
@@ -61,6 +61,21 @@ class TestSmithNormalForm:
         rng.shuffle(cols)
         mixed = [[row[c] for c in cols] for row in mixed]
         assert smith_normal_form(mixed) == base
+
+    @given(st.data())
+    def test_same_invariants_as_the_restarting_form(self, data):
+        """Rectangular matrices up to 8 x 8, with up to two rows and two
+        columns zeroed."""
+        nrows, ncols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        flat = data.draw(st.lists(st.integers(-12, 12), min_size=nrows * ncols,
+                                  max_size=nrows * ncols))
+        rows = [flat[i:i + ncols] for i in range(0, len(flat), ncols)]
+        for i in data.draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+            rows[i] = [0] * ncols
+        for j in data.draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+            for row in rows:
+                row[j] = 0
+        assert smith_normal_form(rows) == smith_normal_form_restarting(rows)
 
     def test_divisibility_chain_enforced(self):
         with pytest.raises(ValueError):

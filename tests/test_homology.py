@@ -21,7 +21,6 @@ from chaingroup.homology import (
     monodromy_rep,
     parse_matrix,
     standard_lattice,
-    symplectic_inverse,
     transvection_matrix,
     twist_product,
 )
@@ -30,6 +29,8 @@ from reference import (
     dense_pairing,
     dense_preserves,
     dense_transvection,
+    extract_triple_by_inverses,
+    negated,
 )
 
 
@@ -50,10 +51,15 @@ def random_symplectic(lat, rng, steps=6):
 
 class TestStandardLattice:
     def test_genus_one(self):
-        assert standard_lattice(1).pairing == ((0, 1), (-1, 0))
+        lat = standard_lattice(1)
+        assert (lat.dual((1, 0)), lat.dual((0, 1))) == ((0, -1), (1, 0))
+        assert lat.pair((1, 0), (0, 1)) == 1 and lat.pair((0, 1), (1, 0)) == -1
 
     def test_genus_two_blocks(self):
-        J = standard_lattice(2).pairing
+        lat = standard_lattice(2)
+        basis = intmat.identity(4)
+        J = tuple(tuple(lat.pair(x, y) for y in basis) for x in basis)
+        assert J == dense_pairing(2)
         assert J[0][1] == 1 and J[1][0] == -1
         assert J[2][3] == 1 and J[3][2] == -1
         assert J[0][2] == J[0][3] == J[1][2] == J[1][3] == 0
@@ -179,7 +185,6 @@ class TestStructuredAgainstDense:
     def test_pair_is_x_transpose_j_y(self, xy):
         x, y = xy
         lat, J = standard_lattice(len(x) // 2), dense_pairing(len(x) // 2)
-        assert lat.pairing == J
         assert lat.dual(y) == intmat.mat_vec(J, y)
         assert lat.pair(x, y) == sum(a * b for a, b in zip(x, intmat.mat_vec(J, y)))
 
@@ -196,7 +201,7 @@ class TestStructuredAgainstDense:
 
     @settings(deadline=None)
     @given(st.data())
-    def test_inverse_is_elimination_on_exactly_the_preserving_matrices(self, data):
+    def test_preservation_is_the_dense_test(self, data):
         g = data.draw(GENERA)
         lat, J = standard_lattice(g), dense_pairing(g)
         m = [list(row) for row in data.draw(st.one_of(dense_symplectic(g), matrices(g)))]
@@ -204,11 +209,7 @@ class TestStructuredAgainstDense:
             i, j = data.draw(st.integers(0, 2 * g - 1)), data.draw(st.integers(0, 2 * g - 1))
             m[i][j] += data.draw(st.sampled_from((-2, -1, 1, 2)))
         m = intmat.as_matrix(m)
-        inv, preserves = symplectic_inverse(lat, m), dense_preserves(J, m)
-        assert is_pairing_preserving(lat, m) == preserves
-        assert (inv is not None) == preserves
-        if preserves:
-            assert inv == intmat.int_inverse(m)
+        assert is_pairing_preserving(lat, m) == dense_preserves(J, m)
 
     def test_chain_product_square_is_the_dense_product(self):
         for g in (1, 2, 3):
@@ -230,7 +231,8 @@ class TestStructuredAgainstDense:
         # the classes pairing to zero with c, whose transvections fix it
         fixers = intmat.kernel_basis((intmat.mat_vec(J, c),))
         v = data.draw(st.one_of(dense_symplectic(g), dense_symplectic(g, fixers + [c])))
-        v = intmat.mat_scale(v, data.draw(SIGNS))
+        if data.draw(SIGNS) == -1:
+            v = negated(v)
         t = dense_transvection(J, c, 1)
         fixed = intmat.mat_vec(v, c) in (c, tuple(-x for x in c))
         assert fixed == (intmat.mat_mul(t, v) == intmat.mat_mul(v, t))
@@ -309,7 +311,7 @@ class TestApplyTransvection:
     def test_minus_identity_direction(self):
         lat = standard_lattice(2)
         rep = monodromy_rep(lat, build_chain(lat, 3), 1)
-        out = apply_transvection(lat, rep, intmat.mat_scale(intmat.identity(4), -1))
+        out = apply_transvection(lat, rep, negated(intmat.identity(4)))
         lhs = intmat.mat_mul(intmat.mat_mul(out[0], out[1]), out[0])
         rhs = intmat.mat_mul(intmat.mat_mul(out[1], out[0]), out[1])
         assert lhs == rhs
@@ -318,7 +320,7 @@ class TestApplyTransvection:
         lat = standard_lattice(3)
         chain = build_chain(lat, 3)
         rep = monodromy_rep(lat, chain, 1)
-        rows = tuple(tuple(intmat.mat_vec(lat.pairing, c.v)) for c in chain)
+        rows = tuple(lat.dual(c.v) for c in chain)
         u = CurveClass(intmat.primitive(intmat.kernel_basis(rows)[0]))
         v = transvection_matrix(lat, u, 1)
         apply_transvection(lat, rep, v)
@@ -373,12 +375,20 @@ class TestExtractTriple:
         assert isinstance(res, type(NOT_RECOGNIZED))
 
     def test_twist_along_a_multiple_not_recognized(self):
-        """T_{2c} V has (M V^-1 - I) J = eps (2c)(2c)^T, which names no class."""
+        """T_{2c} - I = 4 c (Jc)^T has its columns along c, but T_c is not T_{2c}."""
         lat = standard_lattice(3)
         chain = build_chain(lat, 5)
         ms = monodromy_rep(lat, chain, 1)
         doubled = tuple(2 * x for x in chain[4].v)
         ms[4] = dense_transvection(dense_pairing(3), doubled, 1)
+        assert extract_triple(lat, ms) is NOT_RECOGNIZED
+
+    def test_direction_not_preserving_the_pairing_not_recognized(self):
+        """diag(1, 1, 1, 1, 1, 2, 1, 1) fixes every class of the chain, but
+        it does not preserve the pairing."""
+        lat = standard_lattice(4)
+        v = tuple(tuple(1 + (i == 5) if i == j else 0 for j in range(8)) for i in range(8))
+        ms = [intmat.mat_mul(m, v) for m in monodromy_rep(lat, build_chain(lat, 5), 1)]
         assert extract_triple(lat, ms) is NOT_RECOGNIZED
 
     def test_needs_five_matrices(self):
@@ -398,13 +408,69 @@ class TestExtractTriple:
             extract_triple(lat, [wrong] * 5)
 
 
+def _outcome(f, *args):
+    """What f returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestExtractTripleAgainstInverses:
+    KINDS = (
+        "round-trip", "perturbed", "swapped", "doubled", "random", "short", "misshapen",
+        "unpreserved",
+    )
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(2, 6), st.sampled_from(KINDS), st.integers(0, 2**32 - 1))
+    def test_same_outcome_as_the_recovery_by_inverses(self, g, kind, seed):
+        """Transvected chain representations, and ones with a matrix
+        perturbed, swapped, twisted along twice its class, replaced, dropped
+        or cut short by a row, or with a direction that fixes every class
+        but does not preserve the pairing."""
+        rng = random.Random(seed)
+        lat = standard_lattice(g)
+        k = rng.randint(5, max(5, 2 * g - 1) if kind == "unpreserved" else 2 * g + 1)
+        s = random_symplectic(lat, rng)
+        chain = [
+            CurveClass(intmat.primitive(intmat.mat_vec(s, c.v))) for c in build_chain(lat, k)
+        ]
+        eps = rng.choice([1, -1])
+        direction = _random_direction(lat, chain, rng)
+        fixers = intmat.kernel_basis(tuple(c.v for c in chain)) if kind == "unpreserved" else []
+        if fixers:
+            # I + u w^T with w . c = 0 fixes each class c
+            u, w = [rng.randint(-2, 2) for _ in range(2 * g)], rng.choice(fixers)
+            direction = tuple(
+                tuple(int(a == b) + x * y for b, y in enumerate(w)) for a, x in enumerate(u)
+            )
+        rep = monodromy_rep(lat, chain, eps)
+        ms = [list(map(list, intmat.mat_mul(m, direction))) for m in rep]
+        i, j = rng.sample(range(k), 2)
+        if kind == "perturbed":
+            ms[i][rng.randrange(2 * g)][rng.randrange(2 * g)] += rng.choice((-2, -1, 1, 2))
+        elif kind == "swapped":
+            ms[i], ms[j] = ms[j], ms[i]
+        elif kind == "doubled":
+            doubled = dense_transvection(dense_pairing(g), [2 * x for x in chain[i].v], eps)
+            ms[i] = intmat.mat_mul(doubled, direction)
+        elif kind == "random":
+            ms[i] = [[rng.randint(-3, 3) for _ in range(2 * g)] for _ in range(2 * g)]
+        elif kind == "short":
+            ms = ms[:4]
+        elif kind == "misshapen":
+            ms[i] = ms[i][1:]
+        assert _outcome(extract_triple, lat, ms) == _outcome(extract_triple_by_inverses, lat, ms)
+
+
 def _random_direction(lat, chain, rng):
     kind = rng.choice(["id", "neg", "orth"])
     if kind == "id":
         return intmat.identity(lat.rank)
     if kind == "neg":
-        return intmat.mat_scale(intmat.identity(lat.rank), -1)
-    rows = tuple(tuple(intmat.mat_vec(lat.pairing, c.v)) for c in chain)
+        return negated(intmat.identity(lat.rank))
+    rows = tuple(lat.dual(c.v) for c in chain)
     basis = intmat.kernel_basis(rows)
     if not basis:
         return intmat.identity(lat.rank)

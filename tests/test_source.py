@@ -95,3 +95,19 @@ def test_every_definition_is_reached_from_the_front_door():
                 reached.add(target)
                 frontier.append(target)
     assert sorted(set(graph) - reached - UNREACHED_ALLOWED) == []
+
+
+def test_every_method_is_named_in_the_package():
+    """A method or property of a package class that no package code names as
+    an attribute is reached only from the tests."""
+    named = {node.attr for _, node in _nodes() if isinstance(node, ast.Attribute)}
+    found = [
+        f"{name}:{cls.name}.{fn.name}"
+        for name, cls in _nodes()
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and fn.name not in named
+    ]
+    assert found == []
