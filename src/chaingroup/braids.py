@@ -11,28 +11,42 @@ letters, so the classic presentation remains the storage invariant.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterable, Iterator
 
 
-@dataclasses.dataclass(frozen=True)
 class BraidWord:
     """A word in the standard generators of the braid group on n strands.
 
     Concatenation is associative with the empty word as identity; inversion
-    reverses the letter sequence and flips every sign.
+    reverses the letter sequence and flips every sign. Words are immutable,
+    equal when n and the letters are, and hash accordingly.
     """
 
-    n: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ("n", "letters")
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"strand count must be at least 2, got {self.n}")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for x in self.letters:
-            if not 1 <= abs(x) <= self.n - 1:
-                raise ValueError(f"letter {x} out of range for {self.n} strands")
+    def __init__(self, n: int, letters: Iterable[int] = ()):
+        if n < 2:
+            raise ValueError(f"strand count must be at least 2, got {n}")
+        letters = tuple(letters)
+        for x in letters:
+            if not 1 <= abs(x) <= n - 1:
+                raise ValueError(f"letter {x} out of range for {n} strands")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.letters))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __len__(self) -> int:
         return len(self.letters)

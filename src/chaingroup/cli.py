@@ -13,6 +13,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Sequence
+
+# Parse-time size caps, each exiting 2. Above them the answers outgrow
+# memory or time: `braid garside --n 1000` prints 499 500 letters in about
+# 0.25 s, and `hom cable --k 64` takes about 0.8 s.
+BRAID_MAX_STRANDS = 1000
+CABLE_MAX_WIDTH = 64
+# `ln snf` reads at most this many rows and columns: dense input of side
+# 64 takes about 0.3 s, and cost grows faster than cubic above it.
+SNF_MAX_SIDE = 64
 
 
 def _budget(default: int) -> int:
@@ -215,11 +225,10 @@ def _cmd_ln(args) -> int:
         print(f"check=quotient-cardinality factors={factors}")
         return 0
     if args.op == "snf":
-        rows = [
-            [int(t) for t in ln.split()]
-            for ln in _read_input(args.file).splitlines()
-            if ln.strip()
-        ]
+        lines = [ln.split() for ln in _read_input(args.file).splitlines() if ln.strip()]
+        if len(lines) > SNF_MAX_SIDE or any(len(tokens) > SNF_MAX_SIDE for tokens in lines):
+            raise ValueError(f"ln snf takes at most {SNF_MAX_SIDE} rows and columns")
+        rows = [[int(t) for t in tokens] for tokens in lines]
         inv = finite.smith_normal_form(rows)
         print(f"factors={','.join(map(str, inv.factors))}")
         print(f"free_rank={inv.free_rank}")
@@ -378,32 +387,28 @@ def _cmd_suite(args) -> int:
 # ----------------------------------------------------------------- main ----
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chaingroup",
-        description="exact braid, homology, quotient, graph, and covering checks",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _AtMost(argparse.Action):
+    """Store an int option, refusing values above const as a usage error."""
 
-    p = sub.add_parser("braid", help="braid word constructions and oracle checks")
-    ops = p.add_subparsers(dest="op", required=True)
-    for name in ("garside", "delta"):
-        q = ops.add_parser(name)
-        q.add_argument("--n", type=int, required=True)
-    q = ops.add_parser("gen")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
-    q = ops.add_parser("eq")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("words", nargs=2)
-    for name in ("central", "exp"):
-        q = ops.add_parser(name)
-        q.add_argument("--n", type=int, required=True)
-        q.add_argument("word")
-    p.set_defaults(func=_cmd_braid)
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value > self.const:
+            raise argparse.ArgumentError(self, f"at most {self.const} allowed, got {value}")
+        setattr(namespace, self.dest, value)
 
-    p = sub.add_parser("hom", help="braid-to-braid homomorphisms")
-    ops = p.add_subparsers(dest="op", required=True)
+
+def _braid_ops(ops) -> None:
+    for name in ("garside", "delta", "gen", "eq", "central", "exp"):
+        q = ops.add_parser(name)
+        q.add_argument("--n", type=int, required=True, action=_AtMost, const=BRAID_MAX_STRANDS)
+        if name == "gen":
+            q.add_argument("--k", type=int, required=True)
+        elif name == "eq":
+            q.add_argument("words", nargs=2)
+        elif name in ("central", "exp"):
+            q.add_argument("word")
+
+
+def _hom_ops(ops) -> None:
     q = ops.add_parser("verify")
     q.add_argument("file")
     q = ops.add_parser("theorem4")
@@ -412,13 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--eps", type=int, default=1)
     q.add_argument("--k", type=int, default=0)
     q = ops.add_parser("cable")
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", type=int, required=True, action=_AtMost, const=CABLE_MAX_WIDTH)
     q = ops.add_parser("cyclic")
     q.add_argument("file")
-    p.set_defaults(func=_cmd_hom)
 
-    p = sub.add_parser("homology", help="lattice chains and transvection algebra")
-    ops = p.add_subparsers(dest="op", required=True)
+
+def _homology_ops(ops) -> None:
     for name in ("chain", "rep", "square"):
         q = ops.add_parser(name)
         q.add_argument("--genus", type=int, required=True)
@@ -428,29 +432,26 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("extract", "lift"):
         q = ops.add_parser(name)
         q.add_argument("file")
-    p.set_defaults(func=_cmd_homology)
 
-    p = sub.add_parser("ln", help="finite abelian quotients")
-    ops = p.add_subparsers(dest="op", required=True)
+
+def _ln_ops(ops) -> None:
     for name in ("validate", "card"):
         q = ops.add_parser(name)
         for flag in ("r", "M", "m", "d", "s"):
             q.add_argument(f"--{flag}", type=int, required=True)
     q = ops.add_parser("snf")
     q.add_argument("file")
-    p.set_defaults(func=_cmd_ln)
 
-    p = sub.add_parser("perm", help="permutation representation search")
-    ops = p.add_subparsers(dest="op", required=True)
+
+def _perm_ops(ops) -> None:
     q = ops.add_parser("enum")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--dedup", action="store_true")
     q.add_argument("--summary", action="store_true")
-    p.set_defaults(func=_cmd_perm)
 
-    p = sub.add_parser("graph", help="edge-transitive cyclic graph actions")
-    ops = p.add_subparsers(dest="op", required=True)
+
+def _graph_ops(ops) -> None:
     q = ops.add_parser("classify")
     q.add_argument("file")
     q = ops.add_parser("generate")
@@ -466,10 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("file")
     q.add_argument("--genus", type=int, required=True)
     q.add_argument("--b", type=int, required=True)
-    p.set_defaults(func=_cmd_graph)
 
-    p = sub.add_parser("rh", help="ramified covering arithmetic and order bounds")
-    ops = p.add_subparsers(dest="op", required=True)
+
+def _rh_ops(ops) -> None:
     q = ops.add_parser("check")
     q.add_argument("--chi", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
@@ -486,18 +486,50 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--r", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=_cmd_rh)
 
-    p = sub.add_parser("suite", help="named verification bundles")
-    # suites.SUITES's keys, in order, spelled out so that parsing imports no suite
-    p.add_argument("name", choices=("identities", "table1", "graphs", "perm", "rh"))
-    p.set_defaults(func=_cmd_suite)
 
+# group -> (help, handler, builder of its operations); suite has no
+# operations, only the suite name.
+_GROUPS = {
+    "braid": ("braid word constructions and oracle checks", _cmd_braid, _braid_ops),
+    "hom": ("braid-to-braid homomorphisms", _cmd_hom, _hom_ops),
+    "homology": ("lattice chains and transvection algebra", _cmd_homology, _homology_ops),
+    "ln": ("finite abelian quotients", _cmd_ln, _ln_ops),
+    "perm": ("permutation representation search", _cmd_perm, _perm_ops),
+    "graph": ("edge-transitive cyclic graph actions", _cmd_graph, _graph_ops),
+    "rh": ("ramified covering arithmetic and order bounds", _cmd_rh, _rh_ops),
+    "suite": ("named verification bundles", _cmd_suite, None),
+}
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """Every group, and the operations of the group that argv names.
+
+    The group is argv's first token that is not an option. The other groups'
+    operations are never built: only the chosen group is parsed, and the
+    top-level help lists the groups alone.
+    """
+    parser = argparse.ArgumentParser(
+        prog="chaingroup",
+        description="exact braid, homology, quotient, graph, and covering checks",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    chosen = next((t for t in argv if not t.startswith("-")), None)
+    for name, (help_text, func, add_ops) in _GROUPS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if name != chosen:
+            continue
+        if add_ops is None:
+            # suites.SUITES's keys, in order, spelled out so that parsing imports no suite
+            p.add_argument("name", choices=("identities", "table1", "graphs", "perm", "rh"))
+        else:
+            add_ops(p.add_subparsers(dest="op", required=True))
     return parser
 
 
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -22,17 +22,16 @@ from x; the full list is built only when it is printed.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from operator import itemgetter
 from typing import Sequence
 
+from . import Record
 from .intmat import Matrix, as_matrix
 
 
-@dataclasses.dataclass(frozen=True)
-class LnParams:
+class LnParams(Record):
     """Parameters (r, M, m, d, s) of the abelian quotient on r generators.
 
     With M nonzero the divisibility constraints are: m and d nonzero, m | M,
@@ -64,8 +63,7 @@ def validate_params(p: LnParams) -> bool:
     return ((p.r - p.s // p.d) * p.m) % p.M == 0
 
 
-@dataclasses.dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(Record):
     """Invariant factors (each dividing the next) plus free rank."""
 
     factors: tuple[int, ...]
@@ -174,8 +172,7 @@ def ln_group(p: LnParams) -> AbelianInvariants:
     return inv
 
 
-@dataclasses.dataclass(frozen=True)
-class PermRep:
+class PermRep(Record):
     """Generator images in the symmetric group on {0..k-1}, relation-checked."""
 
     k: int

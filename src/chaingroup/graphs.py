@@ -13,15 +13,13 @@ vertices stand for complementary subsurfaces.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Iterator, Sequence
 
-from . import finite
+from . import Record, finite
 
 
-@dataclasses.dataclass(frozen=True)
-class ActionGraph:
+class ActionGraph(Record):
     """A multigraph with one automorphism (vertex and edge permutation).
 
     Edges are unordered pairs stored (min, max); labels optionally attach
@@ -89,8 +87,7 @@ class ActionGraph:
         return len(finite.cycles(self.eperm)) == 1
 
 
-@dataclasses.dataclass(frozen=True)
-class TypeA:
+class TypeA(Record):
     """One vertex orbit of size k; edges step by p coprime to k, d parallel
     copies per adjacent pair (d = m when k = 2)."""
 
@@ -106,8 +103,7 @@ class TypeA:
             raise ValueError(f"step {self.p} invalid for vertex count {self.k}")
 
 
-@dataclasses.dataclass(frozen=True)
-class TypeB:
+class TypeB(Record):
     """Two vertex orbits of coprime sizes k <= l; every edge joins them,
     d = m/(k*l) parallel copies per pair."""
 
@@ -302,8 +298,7 @@ def all_classes(m: int) -> list[GraphClass]:
     return out
 
 
-@dataclasses.dataclass(frozen=True)
-class GenusAuditReport:
+class GenusAuditReport(Record):
     """Curve-count feasibility facts for an action graph on a surface."""
 
     num_curves: int

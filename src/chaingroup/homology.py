@@ -15,15 +15,13 @@ transvection representations, and formal central twist vectors
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Sequence
 
-from . import intmat
+from . import Record, intmat
 from .intmat import Matrix, Vector
 
 
-@dataclasses.dataclass(frozen=True)
-class SkewLattice:
+class SkewLattice(Record):
     """H_1 of the genus-g surface: Z^2g with <x,y> = x^T J y, where
     <x,y> = sum_i (x_{2i-1} y_{2i} - x_{2i} y_{2i-1}), so J is block diagonal
     with blocks ((0, 1), (-1, 0)). Only the genus is stored; J acts through
@@ -52,8 +50,7 @@ class SkewLattice:
         return sum(a * b for a, b in zip(x, self.dual(y), strict=True))
 
 
-@dataclasses.dataclass(frozen=True)
-class CurveClass:
+class CurveClass(Record):
     """Homology class of a simple closed curve: zero or a primitive vector."""
 
     v: Vector
@@ -67,8 +64,7 @@ class CurveClass:
         return not any(self.v)
 
 
-@dataclasses.dataclass(frozen=True)
-class TransvectionTriple:
+class TransvectionTriple(Record):
     """A chain of classes, a sign, and a commuting direction matrix."""
 
     chain: tuple[CurveClass, ...]
@@ -258,8 +254,7 @@ def extract_triple(
     return NOT_RECOGNIZED
 
 
-@dataclasses.dataclass(frozen=True)
-class CentralExtElement:
+class CentralExtElement(Record):
     """A pairing-preserving matrix with a formal central boundary-twist vector.
 
     Multiplication multiplies matrices and adds twist vectors; the twist part

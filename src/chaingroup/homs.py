@@ -10,14 +10,11 @@ map sending the half twist of the 3-strand group to the half twist of the
 
 from __future__ import annotations
 
-import dataclasses
-
-from . import braids, oracle
+from . import Record, braids, oracle
 from .braids import BraidWord
 
 
-@dataclasses.dataclass(frozen=True)
-class BraidHom:
+class BraidHom(Record):
     """Generator images of a homomorphism between braid groups.
 
     images[i-1] is the image of the i-th source generator, a word on m

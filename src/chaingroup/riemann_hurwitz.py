@@ -6,18 +6,17 @@ chi + sum(m - o_i) = m * chi_quotient, with every o_i a proper divisor of m.
 Feasibility checks, branch-data enumeration, the classic order bounds
 84(g-1) and 4g+2 with the genus-1 table, and the inequality audits used to
 rule out periodic and pseudo-Anosov generator images are all exact integer
-or rational arithmetic.
+arithmetic.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from fractions import Fraction
 from typing import Sequence
 
+from . import Record
 
-@dataclasses.dataclass(frozen=True)
-class RamificationData:
+
+class RamificationData(Record):
     """Covering data (chi_total, m, branch preimage counts, chi_quotient)."""
 
     chi_total: int
@@ -78,8 +77,7 @@ def rh_enumerate(
     return out
 
 
-@dataclasses.dataclass(frozen=True)
-class OrderBounds:
+class OrderBounds(Record):
     """Maximal orders of finite subgroups and periodic classes, when defined."""
 
     finite_subgroup_max: int | None
@@ -99,8 +97,7 @@ def order_bounds(g: int, b: int) -> OrderBounds:
         if b <= 2:
             genus1_max = 6
         else:
-            bound = 1 + Fraction(2, b - 2)
-            genus1_max = bound.numerator // bound.denominator
+            genus1_max = 1 + 2 // (b - 2)
     return OrderBounds(finite_max, cyclic_max, genus1_max)
 
 
@@ -124,8 +121,7 @@ def inequality10_holds(g: int) -> bool:
     return g >= 1 + 2**g
 
 
-@dataclasses.dataclass(frozen=True)
-class Section5Report:
+class Section5Report(Record):
     """Exact evaluations of the abelian-subgroup size contradictions.
 
     subgroup_card is d * m^(r-2), the order of the difference subgroup on

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import chaingroup
-from chaingroup import graphs, homology, homs, intmat, suites
+from chaingroup import cli, graphs, homology, homs, intmat, suites
 from chaingroup.cli import dispatch
 from chaingroup.homology import (
     CurveClass,
@@ -54,6 +54,26 @@ class TestBraidCommands:
         code, _, err = run(capsys, "braid", "exp", "--n", "3", "1 x")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize(
+        "op, rest",
+        [("garside", ()), ("delta", ()), ("gen", ("--k", "1")), ("eq", ("1", "1")),
+         ("central", ("1",)), ("exp", ("1",))],
+    )
+    def test_strand_count_above_the_cap_is_usage_error(self, capsys, op, rest):
+        n = cli.BRAID_MAX_STRANDS + 1
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["braid", op, "--n", str(n), *rest])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --n: at most {cli.BRAID_MAX_STRANDS} allowed, got {n}" in captured.err
+
+    def test_strand_count_at_the_cap(self, capsys):
+        n = cli.BRAID_MAX_STRANDS
+        code, out, _ = run(capsys, "braid", "delta", "--n", str(n))
+        assert code == 0
+        assert out.splitlines()[-1] == f"check=index-shift-word n={n} exponent={n - 1}"
+
 
 class TestHomCommands:
     def test_theorem4(self, capsys):
@@ -78,6 +98,15 @@ class TestHomCommands:
         path.write_text("n=4 m=4\n1 : 1\n2 : 1\n3 : 1\n")
         code, out, _ = run(capsys, "hom", "cyclic", str(path))
         assert code == 0 and out.startswith("cyclic")
+
+    def test_cable_width_above_the_cap_is_usage_error(self, capsys):
+        k = cli.CABLE_MAX_WIDTH + 1
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["hom", "cable", "--k", str(k)])
+        assert exc.value.code == 2
+        assert f"argument --k: at most {cli.CABLE_MAX_WIDTH} allowed, got {k}" in (
+            capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize("op", ["verify", "cyclic"])
     @pytest.mark.parametrize("n", [0, 1])
@@ -194,6 +223,24 @@ class TestLnCommands:
         path.write_text("2 0\n0 3\n")
         code, out, _ = run(capsys, "ln", "snf", str(path))
         assert code == 0 and out.splitlines()[0] == "factors=1,6"
+
+    @pytest.mark.parametrize("rows, cols", [(65, 2), (2, 65), (65, 65)])
+    def test_snf_above_the_size_cap_is_usage_error(self, capsys, monkeypatch, rows, cols):
+        """Oversized input is refused before any elimination starts."""
+        text = "\n".join(" ".join(["9"] * cols) for _ in range(rows))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("chaingroup.finite.smith_normal_form", None)
+        code, out, err = run(capsys, "ln", "snf", "-")
+        assert (code, out) == (2, "")
+        assert err == f"error: ln snf takes at most {cli.SNF_MAX_SIDE} rows and columns\n"
+
+    def test_snf_at_the_size_cap(self, capsys, monkeypatch):
+        side = cli.SNF_MAX_SIDE
+        rows = [" ".join("2" if i == j else "0" for j in range(side)) for i in range(side)]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(rows)))
+        code, out, _ = run(capsys, "ln", "snf", "-")
+        factors = ",".join(["2"] * side)
+        assert (code, out.splitlines()[:2]) == (0, [f"factors={factors}", "free_rank=0"])
 
 
 class TestPermCommand:
@@ -415,3 +462,69 @@ def test_subcommand_imports_only_its_modules(argv, added):
     assert before == ["chaingroup", "chaingroup.cli"]
     assert new == [f"chaingroup.{m}" for m in added]
     assert code == 0
+
+
+def _run_cli(argv, stdin="", **extra_env):
+    src = str(Path(chaingroup.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+               **extra_env)
+    env.pop("CHAINGROUP_BUDGET", None)
+    return subprocess.run([sys.executable, *argv], input=stdin, capture_output=True, text=True,
+                          env=env)
+
+
+# Prints the modules that `import chaingroup.cli` and a dispatch of the given
+# arguments add to those the interpreter had already loaded.
+_ADDED = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import chaingroup.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = chaingroup.cli.dispatch(sys.argv[1:])
+print(json.dumps([sorted(set(sys.modules) - before), code]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (("braid", "eq", "--n", "3", "1 2 1", "2 1 2"), ""),
+        (("braid", "garside", "--n", "5"), ""),
+        (("hom", "theorem4", "--n", "6", "--gamma", "1", "--k", "1"), ""),
+        (("hom", "cable", "--k", "2"), ""),
+        (("hom", "verify", "-"), "n=3 m=3\n1 : 1\n2 : 2\n"),
+        (("homology", "rep", "--genus", "2", "--k", "3"), ""),
+        (("homology", "lift", "-"), "rank=2\n1 0\n0 1\ntwist=1\n"),
+        (("ln", "card", "--r", "3", "--M", "3", "--m", "3", "--d", "3", "--s", "9"), ""),
+        (("ln", "snf", "-"), "2 4\n6 8\n"),
+        (("perm", "enum", "--n", "4", "--k", "3"), ""),
+        (("graph", "brute", "--m", "6"), ""),
+        (("graph", "classify", "-"), "vertices=1\n0 0\naction vperm=(0) eperm=(0)\n"),
+        (("rh", "bounds", "--genus", "1", "--b", "3"), ""),
+        (("rh", "enum", "--chi", "-4", "--m", "4", "--chiqs", "0,-1"), ""),
+        (("rh", "audit5", "--r", "3", "--m", "3", "--d", "1"), ""),
+        *((("suite", name), "") for name in ("identities", "table1", "graphs", "perm", "rh")),
+    ],
+    ids=lambda v: "-".join(v[:2]) if isinstance(v, tuple) else None,
+)
+def test_subcommand_loads_no_dataclasses_inspect_or_fractions(argv, stdin):
+    """No call pays for dataclasses (with the inspect, ast and dis it pulls in)
+    or for fractions."""
+    done = _run_cli(["-c", _ADDED, *argv], stdin)
+    added, code = json.loads(done.stdout)
+    assert code == 0
+    assert {"dataclasses", "inspect", "fractions"}.isdisjoint(added)
+
+
+# Output of the parser that built every group's operations up front, at 80
+# columns on Python 3.11: top-level help, each group's help, and usage errors.
+USAGE = json.loads((Path(__file__).parent / "cli_usage.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE, ids=[" ".join(c["argv"]) for c in USAGE])
+def test_help_and_usage_errors_are_pinned(case):
+    """Building only the chosen group's operations changes no help text or usage error."""
+    done = _run_cli(["-m", "chaingroup.cli", *case["argv"]], COLUMNS="80")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        case["code"], case["stdout"], case["stderr"]
+    )

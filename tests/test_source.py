@@ -46,32 +46,43 @@ def test_runtime_imports_only_the_standard_library():
     assert found == []
 
 
+def _top_level_definitions(tree):
+    """Name -> node of every top-level function, class and assignment."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defs.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    return defs
+
+
 def _name_graph():
     """'module.name' of every top-level definition -> the definitions it names.
 
     A definition names another through a bare name (its own module's or one
     imported with `from .mod import name`) or through `mod.name`, where mod
-    was imported with `from . import mod`. Imports count wherever they stand
-    in the module, at top level or inside a function.
+    was imported with `from . import mod`. `from . import name` imports a
+    module unless name is defined at the top level of `__init__.py`. Imports
+    count wherever they stand in the module, at top level or inside a
+    function.
     """
     trees = {path.stem: tree for path, tree in _modules()}
+    top = {mod: _top_level_definitions(tree) for mod, tree in trees.items()}
     graph = {}
     for mod, tree in trees.items():
-        defs, modules, names = {}, {}, {}
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs[node.name] = node
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defs.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+        defs, modules, names = top[mod], {}, {}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
                     local = alias.asname or alias.name
-                    if node.module is None:
-                        modules[local] = alias.name
-                    else:
+                    if node.module is not None:
                         names[local] = f"{node.module}.{alias.name}"
+                    elif alias.name in top["__init__"]:
+                        names[local] = f"__init__.{alias.name}"
+                    else:
+                        modules[local] = alias.name
         names.update((name, f"{mod}.{name}") for name in defs)
         for name, node in defs.items():
             edges = set()
