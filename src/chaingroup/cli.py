@@ -20,6 +20,12 @@ from collections.abc import Sequence
 # 0.25 s, and `hom cable --k 64` takes about 0.8 s.
 BRAID_MAX_STRANDS = 1000
 CABLE_MAX_WIDTH = 64
+# `hom theorem4` checks n - 1 images of about n^2 |k| letters against every
+# relation, so its cost grows as n^4 |k|: `--n 12 --k 12` takes 1.2-1.5 s.
+THEOREM4_MAX_STRANDS = 12
+THEOREM4_MAX_TWIST = 12
+# `perm enum --n 2000 --k 6` counts in about 0.7 s; listing writes 46 MB.
+PERM_MAX_STRANDS = 2000
 # `ln snf` reads at most this many rows and columns: dense input of side
 # 64 takes about 0.3 s, and cost grows faster than cubic above it.
 SNF_MAX_SIDE = 64
@@ -396,6 +402,15 @@ class _AtMost(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
+class _AbsAtMost(_AtMost):
+    """Store an int option, refusing values below -const or above const."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < -self.const:
+            raise argparse.ArgumentError(self, f"at least {-self.const} allowed, got {value}")
+        super().__call__(parser, namespace, value, option_string)
+
+
 def _braid_ops(ops) -> None:
     for name in ("garside", "delta", "gen", "eq", "central", "exp"):
         q = ops.add_parser(name)
@@ -412,10 +427,10 @@ def _hom_ops(ops) -> None:
     q = ops.add_parser("verify")
     q.add_argument("file")
     q = ops.add_parser("theorem4")
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=int, required=True, action=_AtMost, const=THEOREM4_MAX_STRANDS)
     q.add_argument("--gamma", default="")
     q.add_argument("--eps", type=int, default=1)
-    q.add_argument("--k", type=int, default=0)
+    q.add_argument("--k", type=int, default=0, action=_AbsAtMost, const=THEOREM4_MAX_TWIST)
     q = ops.add_parser("cable")
     q.add_argument("--k", type=int, required=True, action=_AtMost, const=CABLE_MAX_WIDTH)
     q = ops.add_parser("cyclic")
@@ -445,7 +460,7 @@ def _ln_ops(ops) -> None:
 
 def _perm_ops(ops) -> None:
     q = ops.add_parser("enum")
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=int, required=True, action=_AtMost, const=PERM_MAX_STRANDS)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--dedup", action="store_true")
     q.add_argument("--summary", action="store_true")

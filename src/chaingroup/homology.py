@@ -197,20 +197,45 @@ def chain_product_square(lat: SkewLattice, chain: Sequence[CurveClass]) -> Matri
     return prod
 
 
+def _first_class(lat: SkewLattice, m1: Matrix, m3: Matrix, m4: Matrix) -> CurveClass | None:
+    """The sign-normalized class on the line of c_1, or None.
+
+    A chain has <c_1, c_3> = <c_1, c_4> = 0 and <c_3, c_4> = +-1. Columns x of
+    M_1 - M_3 lie in span(c_1, c_3) and columns y of M_1 - M_4 in
+    span(c_1, c_4), so <x, y> is <c_3, c_4> times the c_3 part of x times the
+    c_4 part of y. Given y and a column x_1 with <x_1, y> != 0, each
+    w = <x, y> x_1 - <x_1, y> x has no c_3 part: it is a multiple of c_1.
+    """
+    xs = list(zip(*intmat.mat_sub(m1, m3)))
+    for y in zip(*intmat.mat_sub(m1, m4)):
+        pairs = [lat.pair(x, y) for x in xs]
+        i = next((i for i, p in enumerate(pairs) if p), None)
+        if i is None:
+            continue
+        x1, p1 = xs[i], pairs[i]
+        for x, p in zip(xs, pairs):
+            w = [p * a - p1 * b for a, b in zip(x1, x)]
+            if any(w):
+                return CurveClass(intmat.sign_normalized(intmat.primitive(w)))
+        return None
+    return None
+
+
 def extract_triple(
     lat: SkewLattice, ms: Sequence[Matrix]
 ) -> TransvectionTriple | CyclicVerdict | NotRecognized:
     """Recover (chain, eps, direction) from generator-image matrices.
 
     All-equal input yields CyclicVerdict. Otherwise M_i = T_{c_i}^eps V makes
-    each M_i - V = eps*c_i*((Jc_i)^T V) rank one, so M_1 - M_3 and M_1 - M_4
-    have column spaces span(c_1, c_3) and span(c_1, c_4), which meet in the
-    line of c_1. With the sign that gives the direction V = T_{c_1}^{-eps} M_1,
-    and each c_i is the primitive form of any nonzero column of M_i - V. V
-    must preserve the pairing, and c_i commutes with V exactly when
-    Vc_i = +-c_i, as V T_c V^{-1} = T_{Vc}. Anything inconsistent yields
-    NotRecognized. Recovered classes are sign-normalized (first nonzero
-    coordinate positive); eps carries the orientation ambiguity.
+    each M_i - V = eps*c_i*((Jc_i)^T V) rank one. The line of c_1 comes from
+    the columns of M_1 - M_3 and M_1 - M_4 (see _first_class). With the sign
+    that gives the direction V = T_{c_1}^{-eps} M_1, and each c_i is the
+    primitive form of any nonzero column of M_i - V. V must preserve the
+    pairing, and c_i commutes with V exactly when Vc_i = +-c_i, as
+    V T_c V^{-1} = T_{Vc}. Anything inconsistent yields NotRecognized; the
+    final check T_{c_i}^eps V == M_i accepts only genuine triples.
+    Recovered classes are sign-normalized (first nonzero coordinate
+    positive); eps carries the orientation ambiguity.
     """
     ms = [intmat.as_matrix(m) for m in ms]
     if len(ms) < 5:
@@ -221,15 +246,9 @@ def extract_triple(
     if all(m == ms[0] for m in ms):
         return CYCLIC
 
-    im13 = intmat.column_space_basis(intmat.mat_sub(ms[0], ms[2]))
-    im14 = intmat.column_space_basis(intmat.mat_sub(ms[0], ms[3]))
-    if len(im13) != 2 or len(im14) != 2:
+    c1 = _first_class(lat, ms[0], ms[2], ms[3])
+    if c1 is None:
         return NOT_RECOGNIZED
-    common = intmat.intersect_spans(im13, im14)
-    if len(common) != 1:
-        return NOT_RECOGNIZED
-    c1 = CurveClass(intmat.sign_normalized(common[0]))
-
     for eps in (1, -1):
         v = twist_product(lat, c1, -eps, ms[0])
         if not is_pairing_preserving(lat, v):

@@ -1,8 +1,8 @@
 """Explicit braid-to-braid homomorphisms, oracle-verified on construction.
 
-A homomorphism is stored by its generator images; the constructor checks all
-braid and commutation relations through the word-problem oracle, so a
-BraidHom that exists is a homomorphism. Builders cover the conjugated
+A homomorphism is stored by its generator images; BraidHom.checked verifies
+all braid and commutation relations through the word-problem oracle, and
+every builder returns a checked one. Builders cover the conjugated
 power-times-central-twist endomorphism family, the strand-tripling cabling
 map sending the half twist of the 3-strand group to the half twist of the
 3k-strand group.
@@ -18,8 +18,8 @@ class BraidHom(Record):
     """Generator images of a homomorphism between braid groups.
 
     images[i-1] is the image of the i-th source generator, a word on m
-    strands. Relations are oracle-checked at construction unless the caller
-    passes check=False for images already known to satisfy them.
+    strands. The constructor checks only the shapes; BraidHom.checked also
+    checks every relation through the oracle.
     """
 
     n: int

@@ -1,8 +1,8 @@
 """Exact integer matrix arithmetic on tuples of tuples.
 
 Matrices are immutable row-major tuples of Python ints, so products of
-transvections can grow without bound. Inverses, kernels and column spaces
-all come from one fraction-free echelon routine that never leaves the
+transvections can grow without bound. The one elimination, behind
+int_inverse, is a fraction-free echelon routine that never leaves the
 integers: each elimination step is row <- p*row - f*pivot_row followed by
 division by the row's gcd, in the spirit of Bareiss (Sylvester's identity and
 multistep integer-preserving Gaussian elimination, Math. Comp. 22, 1968).
@@ -11,7 +11,7 @@ multistep integer-preserving Gaussian elimination, Math. Comp. 22, 1968).
 from __future__ import annotations
 
 from functools import reduce
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -113,46 +113,3 @@ def int_inverse(a: Matrix) -> Matrix | None:
     if pivots != list(range(n)) or any(rows[i][i] != 1 for i in range(n)):
         return None
     return tuple(tuple(row[n:]) for row in rows)
-
-
-def column_space_basis(a: Matrix) -> list[Vector]:
-    """Primitive integer vectors spanning the column space over Q: the
-    nonzero echelon rows of the transpose."""
-    rows, pivots = _echelon(transpose(a))
-    return [tuple(row) for row in rows[: len(pivots)]]
-
-
-def intersect_spans(us: list[Vector], vs: list[Vector]) -> list[Vector]:
-    """Primitive basis of span(us) ∩ span(vs) over Q.
-
-    Each kernel vector k of the matrix with columns us, vs gives the common
-    vector sum_j k_j us_j.
-    """
-    if not us or not vs:
-        return []
-    ker = kernel_basis(transpose(tuple(us) + tuple(vs)))
-    u_cols = transpose(us)
-    common = [mat_vec(u_cols, k[: len(us)]) for k in ker]
-    return column_space_basis(transpose(common))
-
-
-def kernel_basis(a: Matrix) -> list[Vector]:
-    """Primitive integer basis of the rational kernel of a.
-
-    One vector per free column, in increasing order, positive in its free
-    column and zero in the other free columns.
-    """
-    if not a:
-        return []
-    rows, pivots = _echelon(a)
-    scale = lcm(*(row[pc] for row, pc in zip(rows, pivots)))
-    out = []
-    for fc in range(len(a[0])):
-        if fc in pivots:
-            continue
-        vec = [0] * len(a[0])
-        vec[fc] = scale
-        for row, pc in zip(rows, pivots):
-            vec[pc] = -row[fc] * (scale // row[pc])
-        out.append(primitive(vec))
-    return out

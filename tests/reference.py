@@ -12,9 +12,13 @@ The dense symplectic form is the reference for chaingroup.homology's
 structured arithmetic: the matrix J built entry by entry, transvections as
 I + eps*outer(c, Jc), and pairing preservation as M^T J M == J. The triple
 recovery by inverses is the reference for homology.extract_triple, which
-reads the classes off matrix differences: it inverts a pairing-preserving M
-as -J M^T J, and takes each class c_i from eps*(M_i V^-1 - I)*J = c_i c_i^T
-by an integer square root.
+reads the classes off matrix differences and the first class off the
+chain's intersection pattern: it inverts a pairing-preserving M as
+-J M^T J, finds the line of c_1 by intersecting two column spaces, and
+takes each class c_i from eps*(M_i V^-1 - I)*J = c_i c_i^T by an integer
+square root. Its kernels, column spaces and span intersections come from
+chaingroup.intmat's fraction-free echelon routine, as do the kernels the
+tests draw random chain-fixing directions from.
 
 The restarting Smith normal form is the reference for
 chaingroup.finite.smith_normal_form: it pivots on the least entry of the
@@ -202,6 +206,52 @@ def negated(m: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in m)
 
 
+# ------------------------------------------------ echelon linear algebra ----
+
+
+def column_space_basis(a: Matrix) -> list[Vector]:
+    """Primitive integer vectors spanning the column space over Q: the
+    nonzero echelon rows of the transpose."""
+    rows, pivots = intmat._echelon(intmat.transpose(a))
+    return [tuple(row) for row in rows[: len(pivots)]]
+
+
+def intersect_spans(us: list[Vector], vs: list[Vector]) -> list[Vector]:
+    """Primitive basis of span(us) ∩ span(vs) over Q.
+
+    Each kernel vector k of the matrix with columns us, vs gives the common
+    vector sum_j k_j us_j.
+    """
+    if not us or not vs:
+        return []
+    ker = kernel_basis(intmat.transpose(tuple(us) + tuple(vs)))
+    u_cols = intmat.transpose(us)
+    common = [intmat.mat_vec(u_cols, k[: len(us)]) for k in ker]
+    return column_space_basis(intmat.transpose(common))
+
+
+def kernel_basis(a: Matrix) -> list[Vector]:
+    """Primitive integer basis of the rational kernel of a.
+
+    One vector per free column, in increasing order, positive in its free
+    column and zero in the other free columns.
+    """
+    if not a:
+        return []
+    rows, pivots = intmat._echelon(a)
+    scale = math.lcm(*(row[pc] for row, pc in zip(rows, pivots)))
+    out = []
+    for fc in range(len(a[0])):
+        if fc in pivots:
+            continue
+        vec = [0] * len(a[0])
+        vec[fc] = scale
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc] * (scale // row[pc])
+        out.append(intmat.primitive(vec))
+    return out
+
+
 # ------------------------------------------- triple recovery by inverses ----
 
 
@@ -249,11 +299,11 @@ def extract_triple_by_inverses(lat: homology.SkewLattice, ms: Sequence[Matrix]):
         return homology.NOT_RECOGNIZED
     d13 = intmat.mat_sub(intmat.mat_mul(ms[0], inv3), ident)
     d14 = intmat.mat_sub(intmat.mat_mul(ms[0], inv4), ident)
-    im13 = intmat.column_space_basis(d13)
-    im14 = intmat.column_space_basis(d14)
+    im13 = column_space_basis(d13)
+    im14 = column_space_basis(d14)
     if len(im13) != 2 or len(im14) != 2:
         return homology.NOT_RECOGNIZED
-    common = intmat.intersect_spans(im13, im14)
+    common = intersect_spans(im13, im14)
     if len(common) != 1:
         return homology.NOT_RECOGNIZED
     c1 = homology.CurveClass(intmat.sign_normalized(common[0]))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -107,6 +108,43 @@ class TestHomCommands:
         assert f"argument --k: at most {cli.CABLE_MAX_WIDTH} allowed, got {k}" in (
             capsys.readouterr().err
         )
+
+    # sha256 of the stdout of `chaingroup hom cable --k K`
+    CABLE_DIGESTS = {
+        1: "fc02b3055d2ce23cc38efdd8226652fe0b886d32de1513e54336e52e4f6e5e8b",
+        2: "6b1ff5dee48c1788b10c52057f322555c558b7860274068f835981e32a4b3548",
+        3: "03001efb14bb37934897549ba1c9b1737b67e58296492137182b54df7b8cac33",
+        4: "32957151975c1dd67b92c7a30f67a2d4e5c6204fdbce778c964bfb2a83329c5e",
+        64: "578e6c37d9351bb52e0b4b0667050c57a5af646be7da63de513c37b8c082f716",
+    }
+
+    @pytest.mark.parametrize("k", sorted(CABLE_DIGESTS))
+    def test_cable_output_pinned(self, capsys, k):
+        code, out, _ = run(capsys, "hom", "cable", "--k", str(k))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.CABLE_DIGESTS[k]
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n", cli.THEOREM4_MAX_STRANDS + 1, f"at most {cli.THEOREM4_MAX_STRANDS}"),
+            ("--k", cli.THEOREM4_MAX_TWIST + 1, f"at most {cli.THEOREM4_MAX_TWIST}"),
+            ("--k", -cli.THEOREM4_MAX_TWIST - 1, f"at least {-cli.THEOREM4_MAX_TWIST}"),
+        ],
+        ids=["strands", "twist", "negative-twist"],
+    )
+    def test_theorem4_above_the_caps_is_usage_error(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["hom", "theorem4", "--n", "6", flag, str(value)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message} allowed, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "n, k", [(cli.THEOREM4_MAX_STRANDS, 0), (6, -cli.THEOREM4_MAX_TWIST)]
+    )
+    def test_theorem4_at_the_caps(self, capsys, n, k):
+        code, out, _ = run(capsys, "hom", "theorem4", "--n", str(n), "--k", str(k))
+        assert code == 0 and out.startswith(f"n={n} m={n}")
 
     @pytest.mark.parametrize("op", ["verify", "cyclic"])
     @pytest.mark.parametrize("n", [0, 1])
@@ -258,6 +296,15 @@ class TestPermCommand:
         code, out, _ = run(capsys, "perm", "enum", "--n", "2000", "--k", "6", "--summary")
         assert code == 0
         assert out.splitlines()[0] == "count=720 cyclic=720 noncyclic=0"
+
+    def test_strands_above_the_cap_is_usage_error(self, capsys):
+        n = cli.PERM_MAX_STRANDS + 1
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["perm", "enum", "--n", str(n), "--k", "2", "--summary"])
+        assert exc.value.code == 2
+        assert f"argument --n: at most {cli.PERM_MAX_STRANDS} allowed, got {n}" in (
+            capsys.readouterr().err
+        )
 
     def test_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CHAINGROUP_BUDGET", "2")

@@ -30,6 +30,7 @@ from reference import (
     dense_preserves,
     dense_transvection,
     extract_triple_by_inverses,
+    kernel_basis,
     negated,
 )
 
@@ -229,7 +230,7 @@ class TestStructuredAgainstDense:
         J = dense_pairing(g)
         c = intmat.primitive(data.draw(vectors(g).filter(any)))
         # the classes pairing to zero with c, whose transvections fix it
-        fixers = intmat.kernel_basis((intmat.mat_vec(J, c),))
+        fixers = kernel_basis((intmat.mat_vec(J, c),))
         v = data.draw(st.one_of(dense_symplectic(g), dense_symplectic(g, fixers + [c])))
         if data.draw(SIGNS) == -1:
             v = negated(v)
@@ -321,7 +322,7 @@ class TestApplyTransvection:
         chain = build_chain(lat, 3)
         rep = monodromy_rep(lat, chain, 1)
         rows = tuple(lat.dual(c.v) for c in chain)
-        u = CurveClass(intmat.primitive(intmat.kernel_basis(rows)[0]))
+        u = CurveClass(intmat.primitive(kernel_basis(rows)[0]))
         v = transvection_matrix(lat, u, 1)
         apply_transvection(lat, rep, v)
 
@@ -360,6 +361,17 @@ class TestExtractTriple:
             assert [c.v for c in res.chain] == norm
             assert res.direction == direction
             done += 1
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_standard_chain_with_identity_direction(self, g, eps):
+        """The first nonzero column of M_1 - M_4 is +-(1, 0, ..., 0), on the
+        line of c_1: it pairs to 0 with every column of M_1 - M_3, so the
+        first class comes from a later column."""
+        lat = standard_lattice(g)
+        chain = build_chain(lat, 5)
+        res = extract_triple(lat, monodromy_rep(lat, chain, eps))
+        assert res == TransvectionTriple(tuple(chain), eps, intmat.identity(2 * g))
 
     def test_all_equal_is_cyclic(self):
         lat = standard_lattice(3)
@@ -438,7 +450,7 @@ class TestExtractTripleAgainstInverses:
         ]
         eps = rng.choice([1, -1])
         direction = _random_direction(lat, chain, rng)
-        fixers = intmat.kernel_basis(tuple(c.v for c in chain)) if kind == "unpreserved" else []
+        fixers = kernel_basis(tuple(c.v for c in chain)) if kind == "unpreserved" else []
         if fixers:
             # I + u w^T with w . c = 0 fixes each class c
             u, w = [rng.randint(-2, 2) for _ in range(2 * g)], rng.choice(fixers)
@@ -471,7 +483,7 @@ def _random_direction(lat, chain, rng):
     if kind == "neg":
         return negated(intmat.identity(lat.rank))
     rows = tuple(lat.dual(c.v) for c in chain)
-    basis = intmat.kernel_basis(rows)
+    basis = kernel_basis(rows)
     if not basis:
         return intmat.identity(lat.rank)
     u = CurveClass(intmat.primitive(basis[rng.randrange(len(basis))]))
