@@ -29,6 +29,10 @@ PERM_MAX_STRANDS = 2000
 # `ln snf` reads at most this many rows and columns: dense input of side
 # 64 takes about 0.3 s, and cost grows faster than cubic above it.
 SNF_MAX_SIDE = 64
+# `homology rep --genus 64 --k 129` prints 4.2 MB in about 2-3 s.
+HOMOLOGY_MAX_GENUS = 64
+# `graph generate --m 100000` prints about 1 MB in about 0.4 s.
+GRAPH_MAX_EDGES = 100_000
 
 
 def _budget(default: int) -> int:
@@ -440,7 +444,8 @@ def _hom_ops(ops) -> None:
 def _homology_ops(ops) -> None:
     for name in ("chain", "rep", "square"):
         q = ops.add_parser(name)
-        q.add_argument("--genus", type=int, required=True)
+        q.add_argument("--genus", type=int, required=True, action=_AtMost,
+                       const=HOMOLOGY_MAX_GENUS)
         q.add_argument("--k", type=int, required=True)
         if name == "rep":
             q.add_argument("--eps", type=int, default=1)
@@ -475,7 +480,7 @@ def _graph_ops(ops) -> None:
     q.add_argument("--p", type=int)
     q.add_argument("--l", type=int)
     q.add_argument("--d", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
+    q.add_argument("--m", type=int, required=True, action=_AtMost, const=GRAPH_MAX_EDGES)
     q = ops.add_parser("brute")
     q.add_argument("--m", type=int, required=True)
     q = ops.add_parser("audit")

@@ -360,6 +360,8 @@ def parse_graph(text: str) -> ActionGraph:
     action_line = None
     for ln in lines[1:]:
         if ln.startswith("action "):
+            if action_line is not None:
+                raise ValueError("graph text has more than one action line")
             action_line = ln[len("action "):]
         elif ln.startswith("label "):
             parts = ln.split()
@@ -368,6 +370,8 @@ def parse_graph(text: str) -> ActionGraph:
             _, v, gv, bv = parts
             if not 0 <= int(v) < nv:
                 raise ValueError(f"label vertex {v} out of range 0..{nv - 1}")
+            if int(v) in labels:
+                raise ValueError(f"repeated label line for vertex {v}")
             labels[int(v)] = (int(gv), int(bv))
         else:
             parts = ln.split()

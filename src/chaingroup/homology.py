@@ -10,7 +10,8 @@ M_i = T_{c_i}^eps V differs from its direction V by rank-one matrices, and
 the recovery of (chain, sign, direction) reads the classes off the columns
 of those differences, with no inverse and no square root. Chains, their
 transvection representations, and formal central twist vectors
-(CentralExtElement) live here too.
+(CentralExtElement) live here too; that extension is a direct product, so
+lift_adjust corrects braid defects by moving twists, again with no inverse.
 """
 
 from __future__ import annotations
@@ -276,8 +277,9 @@ def extract_triple(
 class CentralExtElement(Record):
     """A pairing-preserving matrix with a formal central boundary-twist vector.
 
-    Multiplication multiplies matrices and adds twist vectors; the twist part
-    commutes with everything by construction.
+    Multiplication multiplies matrices and adds twist vectors, so the group
+    is a direct product and the twist part commutes with everything by
+    construction.
     """
 
     mat: Matrix
@@ -295,43 +297,35 @@ class CentralExtElement(Record):
             tuple(a + b for a, b in zip(self.twist, other.twist)),
         )
 
-    def inverse(self) -> CentralExtElement:
-        inv = intmat.int_inverse(self.mat)
-        if inv is None:
-            raise ValueError("matrix part is not invertible over the integers")
-        return CentralExtElement(inv, tuple(-x for x in self.twist))
-
-    def is_central(self) -> bool:
-        """Central for the extension: trivial matrix part, any twist."""
-        return self.mat == intmat.identity(len(self.mat))
-
 
 def lift_adjust(lifts: Sequence[CentralExtElement]) -> list[CentralExtElement]:
     """Correct braid-relation defects of lifted generators by central factors.
 
-    With W_i = (A_i A_{i+1} A_i)(A_{i+1} A_i A_{i+1})^{-1} central for every
-    i, the sequence A_1, A_i W_1 ... W_{i-1} satisfies all relations exactly.
-    Already-exact input is returned unchanged.
+    The extension is a direct product, so the defect of adjacent lifts a, b
+    is W = (aba)(bab)^{-1} = (M(aba) M(bab)^{-1}, t_a - t_b): it is central
+    exactly when M(aba) = M(bab), given that M(bab) is invertible over the
+    integers, and the product W_1 ... W_{i-1} has twist t_1 - t_i. So
+    A_i W_1 ... W_{i-1} is (M_i, t_1): every lift keeps its matrix and takes
+    the first twist, and no inverse is formed. Already-exact input is
+    returned unchanged.
     """
+    from . import finite
+
     lifts = list(lifts)
     if len(lifts) < 2:
         return lifts
-    defects = []
     for i in range(len(lifts) - 1):
         a, b = lifts[i], lifts[i + 1]
-        w = (a * b * a) * (b * a * b).inverse()
-        if not w.is_central():
+        aba, bab = a * b * a, b * a * b
+        if finite.smith_normal_form(bab.mat).cardinality() != 1:
+            raise ValueError("matrix part is not invertible over the integers")
+        if aba.mat != bab.mat:
             raise ValueError(f"braid defect at position {i + 1} is not central")
-        defects.append(w)
     for i in range(len(lifts)):
         for j in range(i + 2, len(lifts)):
             if lifts[i] * lifts[j] != lifts[j] * lifts[i]:
                 raise ValueError(f"distant generators {i + 1},{j + 1} do not commute")
-    out = [lifts[0]]
-    acc = CentralExtElement(intmat.identity(len(lifts[0].mat)), (0,) * len(lifts[0].twist))
-    for i in range(1, len(lifts)):
-        acc = acc * defects[i - 1]
-        out.append(lifts[i] * acc)
+    out = [CentralExtElement(e.mat, lifts[0].twist) for e in lifts]
     for i in range(len(out) - 1):
         a, b = out[i], out[i + 1]
         if a * b * a != b * a * b:

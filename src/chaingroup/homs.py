@@ -149,6 +149,8 @@ def parse_hom(text: str) -> BraidHom:
     for ln in lines[1:]:
         left, _, right = ln.partition(":")
         i = int(left.strip())
+        if i in images:
+            raise ValueError(f"repeated image line for generator {i}")
         images[i] = braids.parse_letters(m, (int(t) for t in right.split()))
     if set(images) != set(range(1, n)):
         raise ValueError(f"need one image line per generator 1..{n - 1}")

@@ -1,11 +1,9 @@
 """Exact integer matrix arithmetic on tuples of tuples.
 
 Matrices are immutable row-major tuples of Python ints, so products of
-transvections can grow without bound. The one elimination, behind
-int_inverse, is a fraction-free echelon routine that never leaves the
-integers: each elimination step is row <- p*row - f*pivot_row followed by
-division by the row's gcd, in the spirit of Bareiss (Sylvester's identity and
-multistep integer-preserving Gaussian elimination, Math. Comp. 22, 1968).
+transvections can grow without bound. Nothing here eliminates: the package's
+one elimination is chaingroup.finite.smith_normal_form, which also decides
+invertibility over the integers where homology.lift_adjust needs it.
 """
 
 from __future__ import annotations
@@ -61,55 +59,3 @@ def sign_normalized(v: Sequence[int]) -> Vector:
         if x != 0:
             return tuple(v) if x > 0 else tuple(-y for y in v)
     return tuple(v)
-
-
-def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over the integers: the rows and the pivot columns.
-
-    Row i has its pivot in column pivots[i], and every pivot column is zero
-    outside its pivot row; the rows after the last pivot row are zero. Each
-    pivot row is primitive with a positive pivot, so it is the rational
-    reduced echelon row times the smallest positive integer that clears its
-    denominators. Rows stay lists of ints throughout, and gcds are folded
-    with reduce: gcd(*row) would build an argument tuple per call, and
-    CPython 3.11 parks freed 20-tuples on a free list it never reuses, so
-    the 20-wide rows of a genus-5 inverse would pin about 370 KB.
-    """
-    work = [list(row) for row in rows]
-    pivots: list[int] = []
-    for col in range(len(work[0]) if work else 0):
-        r = len(pivots)
-        if r == len(work):
-            break
-        k = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if k is None:
-            continue
-        top = work[k]
-        g = reduce(gcd, top) if top[col] > 0 else -reduce(gcd, top)
-        top = [x // g for x in top]
-        work[k] = work[r]
-        work[r] = top
-        p = top[col]
-        for i, row in enumerate(work):
-            f = row[col]
-            if f and i != r:
-                row = [p * x - f * y for x, y in zip(row, top)]
-                g = reduce(gcd, row)
-                work[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(col)
-    return work, pivots
-
-
-def int_inverse(a: Matrix) -> Matrix | None:
-    """Inverse of a square matrix when it exists over the integers, else None.
-
-    Row i of the echelon form of [A | I] is the primitive multiple
-    p_i * (e_i | row i of A^-1), so A^-1 is integral exactly when every
-    pivot p_i is 1.
-    """
-    n = len(a)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    rows, pivots = _echelon(aug)
-    if pivots != list(range(n)) or any(rows[i][i] != 1 for i in range(n)):
-        return None
-    return tuple(tuple(row[n:]) for row in rows)

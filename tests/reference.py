@@ -17,8 +17,18 @@ chain's intersection pattern: it inverts a pairing-preserving M as
 -J M^T J, finds the line of c_1 by intersecting two column spaces, and
 takes each class c_i from eps*(M_i V^-1 - I)*J = c_i c_i^T by an integer
 square root. Its kernels, column spaces and span intersections come from
-chaingroup.intmat's fraction-free echelon routine, as do the kernels the
-tests draw random chain-fixing directions from.
+the fraction-free echelon routine here, as do the kernels the tests draw
+random chain-fixing directions from. Each elimination step is
+row <- p*row - f*pivot_row followed by division by the row's gcd, in the
+spirit of Bareiss (Sylvester's identity and multistep integer-preserving
+Gaussian elimination, Math. Comp. 22, 1968); the package itself eliminates
+only in chaingroup.finite.smith_normal_form.
+
+The lift by inverses is the reference for homology.lift_adjust, which reads
+the correction off the direct-product structure: it forms each braid defect
+W_i = (A_i A_{i+1} A_i)(A_{i+1} A_i A_{i+1})^{-1} with an echelon inverse,
+requires its matrix part to be the identity, and multiplies A_i by
+W_1 ... W_{i-1}.
 
 The restarting Smith normal form is the reference for
 chaingroup.finite.smith_normal_form: it pivots on the least entry of the
@@ -39,6 +49,8 @@ import dataclasses
 import functools
 import itertools
 import math
+from functools import reduce
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from chaingroup import braids, finite, homology, intmat
@@ -209,10 +221,62 @@ def negated(m: Matrix) -> Matrix:
 # ------------------------------------------------ echelon linear algebra ----
 
 
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over the integers: the rows and the pivot columns.
+
+    Row i has its pivot in column pivots[i], and every pivot column is zero
+    outside its pivot row; the rows after the last pivot row are zero. Each
+    pivot row is primitive with a positive pivot, so it is the rational
+    reduced echelon row times the smallest positive integer that clears its
+    denominators. Rows stay lists of ints throughout, and gcds are folded
+    with reduce: gcd(*row) would build an argument tuple per call, and
+    CPython 3.11 parks freed 20-tuples on a free list it never reuses, so
+    the 20-wide rows of a genus-5 inverse would pin about 370 KB.
+    """
+    work = [list(row) for row in rows]
+    pivots: list[int] = []
+    for col in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        if r == len(work):
+            break
+        k = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if k is None:
+            continue
+        top = work[k]
+        g = reduce(gcd, top) if top[col] > 0 else -reduce(gcd, top)
+        top = [x // g for x in top]
+        work[k] = work[r]
+        work[r] = top
+        p = top[col]
+        for i, row in enumerate(work):
+            f = row[col]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(row, top)]
+                g = reduce(gcd, row)
+                work[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+    return work, pivots
+
+
+def int_inverse(a: Matrix) -> Matrix | None:
+    """Inverse of a square matrix when it exists over the integers, else None.
+
+    Row i of the echelon form of [A | I] is the primitive multiple
+    p_i * (e_i | row i of A^-1), so A^-1 is integral exactly when every
+    pivot p_i is 1.
+    """
+    n = len(a)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    rows, pivots = _echelon(aug)
+    if pivots != list(range(n)) or any(rows[i][i] != 1 for i in range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in rows)
+
+
 def column_space_basis(a: Matrix) -> list[Vector]:
     """Primitive integer vectors spanning the column space over Q: the
     nonzero echelon rows of the transpose."""
-    rows, pivots = intmat._echelon(intmat.transpose(a))
+    rows, pivots = _echelon(intmat.transpose(a))
     return [tuple(row) for row in rows[: len(pivots)]]
 
 
@@ -238,7 +302,7 @@ def kernel_basis(a: Matrix) -> list[Vector]:
     """
     if not a:
         return []
-    rows, pivots = intmat._echelon(a)
+    rows, pivots = _echelon(a)
     scale = math.lcm(*(row[pc] for row, pc in zip(rows, pivots)))
     out = []
     for fc in range(len(a[0])):
@@ -333,6 +397,58 @@ def extract_triple_by_inverses(lat: homology.SkewLattice, ms: Sequence[Matrix]):
             continue
         return homology.TransvectionTriple(tuple(chain), eps, v)
     return homology.NOT_RECOGNIZED
+
+
+# --------------------------------------------------- lift by inverses ----
+
+
+def _ext_inverse(e: homology.CentralExtElement) -> homology.CentralExtElement:
+    inv = int_inverse(e.mat)
+    if inv is None:
+        raise ValueError("matrix part is not invertible over the integers")
+    return homology.CentralExtElement(inv, tuple(-x for x in e.twist))
+
+
+def _ext_is_central(e: homology.CentralExtElement) -> bool:
+    """Central for the extension: trivial matrix part, any twist."""
+    return e.mat == intmat.identity(len(e.mat))
+
+
+def lift_adjust_by_inverses(
+    lifts: Sequence[homology.CentralExtElement],
+) -> list[homology.CentralExtElement]:
+    """Correct braid-relation defects as homology.lift_adjust does.
+
+    With W_i = (A_i A_{i+1} A_i)(A_{i+1} A_i A_{i+1})^{-1} central for every
+    i, the sequence A_1, A_i W_1 ... W_{i-1} satisfies all relations exactly.
+    Already-exact input is returned unchanged.
+    """
+    lifts = list(lifts)
+    if len(lifts) < 2:
+        return lifts
+    defects = []
+    for i in range(len(lifts) - 1):
+        a, b = lifts[i], lifts[i + 1]
+        w = (a * b * a) * _ext_inverse(b * a * b)
+        if not _ext_is_central(w):
+            raise ValueError(f"braid defect at position {i + 1} is not central")
+        defects.append(w)
+    for i in range(len(lifts)):
+        for j in range(i + 2, len(lifts)):
+            if lifts[i] * lifts[j] != lifts[j] * lifts[i]:
+                raise ValueError(f"distant generators {i + 1},{j + 1} do not commute")
+    out = [lifts[0]]
+    acc = homology.CentralExtElement(
+        intmat.identity(len(lifts[0].mat)), (0,) * len(lifts[0].twist)
+    )
+    for i in range(1, len(lifts)):
+        acc = acc * defects[i - 1]
+        out.append(lifts[i] * acc)
+    for i in range(len(out) - 1):
+        a, b = out[i], out[i + 1]
+        if a * b * a != b * a * b:
+            raise RuntimeError(f"adjustment left a braid defect at position {i + 1}")
+    return out
 
 
 # ------------------------------------------------- Smith normal form ----

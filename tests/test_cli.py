@@ -100,6 +100,11 @@ class TestHomCommands:
         code, out, _ = run(capsys, "hom", "cyclic", str(path))
         assert code == 0 and out.startswith("cyclic")
 
+    def test_verify_repeated_image_line_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("n=3 m=3\n1 : 1\n1 : 2\n2 : 2\n"))
+        code, out, err = run(capsys, "hom", "verify", "-")
+        assert (code, out, err) == (2, "", "error: repeated image line for generator 1\n")
+
     def test_cable_width_above_the_cap_is_usage_error(self, capsys):
         k = cli.CABLE_MAX_WIDTH + 1
         with pytest.raises(SystemExit) as exc:
@@ -163,6 +168,22 @@ class TestHomologyCommands:
     def test_chain_too_long(self, capsys):
         code, _, err = run(capsys, "homology", "chain", "--genus", "1", "--k", "4")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("op", ["chain", "rep", "square"])
+    def test_genus_above_the_cap_is_usage_error(self, capsys, op):
+        g = cli.HOMOLOGY_MAX_GENUS + 1
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["homology", op, "--genus", str(g), "--k", "3"])
+        assert exc.value.code == 2
+        assert f"argument --genus: at most {cli.HOMOLOGY_MAX_GENUS} allowed, got {g}" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("op", ["chain", "rep", "square"])
+    def test_genus_at_the_cap(self, capsys, op):
+        g = cli.HOMOLOGY_MAX_GENUS
+        code, out, _ = run(capsys, "homology", op, "--genus", str(g), "--k", "3")
+        assert code == 0 and f" genus={g} k=3" in out.splitlines()[-1]
 
     def test_rep_and_square(self, capsys):
         code, out, _ = run(capsys, "homology", "rep", "--genus", "2", "--k", "3", "--eps", "-1")
@@ -368,14 +389,38 @@ class TestGraphCommands:
                 "vertices=1\nlabel 0 1\naction vperm=() eperm=()",
                 "label line must be 'label v genus b', got 'label 0 1'",
             ),
+            (
+                "vertices=1\n0 0\naction vperm=() eperm=()\naction vperm=() eperm=(0)",
+                "graph text has more than one action line",
+            ),
+            (
+                "vertices=1\n0 0\nlabel 0 1 0\nlabel 0 2 0\naction vperm=() eperm=(0)",
+                "repeated label line for vertex 0",
+            ),
         ],
         ids=["symbol-above", "symbol-negative", "vertex-count", "label-vertex", "edge-arity",
-             "label-arity"],
+             "label-arity", "repeated-action", "repeated-label"],
     )
     def test_classify_malformed_is_usage_error(self, capsys, monkeypatch, text, message):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         code, _, err = run(capsys, "graph", "classify", "-")
         assert code == 2 and message in err
+
+    def test_generate_edges_above_the_cap_is_usage_error(self, capsys):
+        m = cli.GRAPH_MAX_EDGES + 1
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["graph", "generate", "--type", "A", "--k", "2", "--p", "1", "--d", str(m),
+                      "--m", str(m)])
+        assert exc.value.code == 2
+        assert f"argument --m: at most {cli.GRAPH_MAX_EDGES} allowed, got {m}" in (
+            capsys.readouterr().err
+        )
+
+    def test_generate_edges_at_the_cap(self, capsys):
+        m = cli.GRAPH_MAX_EDGES
+        code, out, _ = run(capsys, "graph", "generate", "--type", "A", "--k", "2", "--p", "1",
+                           "--d", str(m), "--m", str(m))
+        assert code == 0 and out.splitlines()[-1] == f"check=template-construction m={m}"
 
     def test_brute(self, capsys):
         code, out, _ = run(capsys, "graph", "brute", "--m", "2")
@@ -485,25 +530,31 @@ print(json.dumps([sorted(before), sorted(loaded() - before), code]))
 """
 
 
+_LIFTS = "rank=2\n1 1\n0 1\ntwist=0\n\nrank=2\n1 0\n-1 1\ntwist=3\n"
+
+
 @pytest.mark.parametrize(
-    "argv, added",
+    "argv, added, stdin",
     [
-        ((), []),
-        (("braid", "eq", "--n", "3", "1 2 1", "2 1 2"), ["braids", "kernel", "oracle"]),
-        (("perm", "enum", "--n", "5", "--k", "5", "--summary"), ["finite", "intmat"]),
-        (("rh", "bounds", "--genus", "2", "--b", "0"), ["riemann_hurwitz"]),
-        (("suite", "rh"), ["riemann_hurwitz", "suites"]),
-        (("suite", "perm"), ["finite", "intmat", "suites"]),
+        ((), [], ""),
+        (("braid", "eq", "--n", "3", "1 2 1", "2 1 2"), ["braids", "kernel", "oracle"], ""),
+        (("perm", "enum", "--n", "5", "--k", "5", "--summary"), ["finite", "intmat"], ""),
+        (("rh", "bounds", "--genus", "2", "--b", "0"), ["riemann_hurwitz"], ""),
+        (("suite", "rh"), ["riemann_hurwitz", "suites"], ""),
+        (("suite", "perm"), ["finite", "intmat", "suites"], ""),
+        (("homology", "rep", "--genus", "2", "--k", "3"), ["homology", "intmat"], ""),
+        (("homology", "lift", "-"), ["finite", "homology", "intmat"], _LIFTS),
     ],
-    ids=["import", "braid-eq", "perm-enum", "rh-bounds", "suite-rh", "suite-perm"],
+    ids=["import", "braid-eq", "perm-enum", "rh-bounds", "suite-rh", "suite-perm",
+         "homology-rep", "homology-lift"],
 )
-def test_subcommand_imports_only_its_modules(argv, added):
+def test_subcommand_imports_only_its_modules(argv, added, stdin):
     """Start-up loads the CLI alone; a subcommand adds just the modules it runs."""
     src = str(Path(chaingroup.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     done = subprocess.run(
-        [sys.executable, "-c", _LOADS, *argv], capture_output=True, text=True, env=env,
-        check=True,
+        [sys.executable, "-c", _LOADS, *argv], input=stdin, capture_output=True, text=True,
+        env=env, check=True,
     )
     before, new, code = json.loads(done.stdout)
     assert before == ["chaingroup", "chaingroup.cli"]

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaingroup import intmat
+from chaingroup import cli, intmat
 from chaingroup.homology import (
     CYCLIC,
     NOT_RECOGNIZED,
@@ -31,6 +31,7 @@ from reference import (
     dense_transvection,
     extract_triple_by_inverses,
     kernel_basis,
+    lift_adjust_by_inverses,
     negated,
 )
 
@@ -501,7 +502,6 @@ class TestCentralExtension:
         a = _elem(m, (1, 0))
         b = _elem(intmat.identity(2), (0, 2))
         assert (a * b).twist == (1, 2)
-        assert (a * a.inverse()).mat == intmat.identity(2)
 
 
 class TestLiftAdjust:
@@ -542,10 +542,87 @@ class TestLiftAdjust:
             lift_adjust(lifts)
 
 
+class TestLiftAdjustAgainstInverses:
+    KINDS = (
+        "exact", "twist-perturbed", "swapped", "entry-perturbed", "singular", "mixed-rank",
+        "mixed-twist-length", "scaled", "negated", "random",
+    )
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.integers(1, 4), st.integers(1, 6), st.integers(0, 3), st.sampled_from(KINDS),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_same_outcome_as_the_lift_by_inverses(self, g, k, t, kind, seed):
+        """Lifts of a chain's transvections under a random symplectic
+        conjugation, with equal twists or with one lift's twist, matrix,
+        size or twist length changed, two lifts swapped, or a matrix scaled,
+        negated, made singular or replaced."""
+        rng = random.Random(seed)
+        lat = standard_lattice(g)
+        k = min(k, 2 * g + 1)
+        s = random_symplectic(lat, rng, steps=rng.randint(0, 4))
+        chain = [
+            CurveClass(intmat.primitive(intmat.mat_vec(s, c.v))) for c in build_chain(lat, k)
+        ]
+        mats = [list(map(list, m)) for m in monodromy_rep(lat, chain, rng.choice([1, -1]))]
+        twist = [rng.randint(-3, 3) for _ in range(t)]
+        twists = [list(twist) for _ in range(k)]
+        i, j = rng.randrange(k), rng.randrange(k)
+        r = 2 * g
+        if kind == "twist-perturbed":
+            twists = [[rng.randint(-3, 3) for _ in range(t)] for _ in range(k)]
+        elif kind == "swapped":
+            mats[i], mats[j] = mats[j], mats[i]
+        elif kind == "entry-perturbed":
+            mats[i][rng.randrange(r)][rng.randrange(r)] += rng.choice((-2, -1, 1, 2))
+        elif kind == "singular":
+            mats[i][rng.randrange(r)] = [0] * r
+        elif kind == "mixed-rank":
+            mats[i] = intmat.identity(2 * rng.choice([h for h in range(1, 6) if h != g]))
+        elif kind == "mixed-twist-length":
+            twists[i] = twists[i] + [rng.randint(-3, 3)]
+        elif kind == "scaled":
+            mats[i] = [[rng.choice((2, -2, 3)) * x for x in row] for row in mats[i]]
+        elif kind == "negated":
+            mats[i] = [[-x for x in row] for row in mats[i]]
+        elif kind == "random":
+            mats[i] = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
+        lifts = [CentralExtElement(m, tw) for m, tw in zip(mats, twists)]
+        assert _outcome(lift_adjust, lifts) == _outcome(lift_adjust_by_inverses, lifts)
+
+
 class TestTextFormats:
-    def test_matrix_round_trip(self):
-        m = transvection_matrix(standard_lattice(2), CurveClass((1, 0, -1, 1)), -1)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(
+        lambda r: st.lists(
+            st.lists(st.integers(-(2**200), 2**200), min_size=r, max_size=r),
+            min_size=r, max_size=r,
+        )
+    ))
+    def test_matrix_round_trip(self, rows):
+        m = intmat.as_matrix(rows)
         assert parse_matrix(format_matrix(m)) == m
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.integers(1, 4).flatmap(
+                lambda r: st.lists(
+                    st.lists(st.integers(-(2**100), 2**100), min_size=r, max_size=r),
+                    min_size=r, max_size=r,
+                )
+            ),
+            st.lists(st.integers(-(2**100), 2**100), max_size=3),
+        ),
+        min_size=1, max_size=4,
+    ))
+    def test_elements_round_trip(self, blocks):
+        """Lift elements, the empty twist vector among them, survive
+        formatting and parsing."""
+        elements = [CentralExtElement(m, tw) for m, tw in blocks]
+        text = "\n\n".join(cli._format_element(e) for e in elements)
+        assert cli._parse_elements(text) == elements
 
     def test_chain_round_trip(self):
         """The printed vectors are the chain's classes, in order."""
