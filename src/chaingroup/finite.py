@@ -211,12 +211,6 @@ def perm_rep_satisfies_relations(rep: PermRep) -> bool:
     return True
 
 
-def _require_relations(reps: Sequence[PermRep]) -> None:
-    for rep in reps:
-        if not perm_rep_satisfies_relations(rep):
-            raise RuntimeError(f"enumerated tuple {rep.images} violates a braid relation")
-
-
 def _conjugacy_classes(k: int) -> list[list[tuple[int, ...]]]:
     """The classes of S_k, one per cycle type, each in lexicographic order and
     listed in order of their least members."""
@@ -289,7 +283,9 @@ def perm_rep_classes(
     out = []
     for members in _conjugacy_classes(k):
         reps = [PermRep(k, images) for images in _chains_from(members, n - 1)]
-        _require_relations(reps)
+        for rep in reps:
+            if not perm_rep_satisfies_relations(rep):
+                raise RuntimeError(f"enumerated tuple {rep.images} violates a braid relation")
         out.append((members, reps))
     return out
 
@@ -319,7 +315,9 @@ def enum_perm_reps(
     images of a tuple share one cycle type. perm_rep_classes finds the
     tuples starting at each class's least member x; conjugating them by one
     c with c x c^-1 = y for each y of the class gives every tuple exactly
-    once. Results come in lexicographic order of image tuples. With
+    once. Simultaneous conjugation preserves every relation, so only the
+    tuples perm_rep_classes returns are relation-checked, not their
+    conjugates. Results come in lexicographic order of image tuples. With
     dedup_conjugacy only the least tuple of each simultaneous conjugacy
     class is kept: it starts at x, and it is the least of its conjugates by
     the centralizer of x.
@@ -340,9 +338,7 @@ def enum_perm_reps(
             for y in members:
                 c = _conjugator(x, y)
                 found.extend(_conjugate(rep.images, c) for rep in reps)
-    out = [PermRep(k, images) for images in sorted(found)]
-    _require_relations(out)
-    return out
+    return [PermRep(k, images) for images in sorted(found)]
 
 
 def _conjugate(

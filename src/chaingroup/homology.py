@@ -16,6 +16,7 @@ lift_adjust corrects braid defects by moving twists, again with no inverse.
 
 from __future__ import annotations
 
+from operator import mul, sub
 from typing import Sequence
 
 from . import Record, intmat
@@ -48,7 +49,11 @@ class SkewLattice(Record):
         return tuple(out)
 
     def pair(self, x: Sequence[int], y: Sequence[int]) -> int:
-        return sum(a * b for a, b in zip(x, self.dual(y), strict=True))
+        """x . Jy, summed over the coordinate pairs without forming Jy."""
+        for v in (y, x):
+            if len(v) != self.rank:
+                raise ValueError(f"vector has length {len(v)}, lattice rank is {self.rank}")
+        return sum(map(mul, x[0::2], y[1::2])) - sum(map(mul, x[1::2], y[0::2]))
 
 
 class CurveClass(Record):
@@ -158,25 +163,38 @@ def transvection_matrix(lat: SkewLattice, c: CurveClass, eps: int) -> Matrix:
 
 
 def is_pairing_preserving(lat: SkewLattice, m: Matrix) -> bool:
-    """M^T J M = J, tested as M (-J M^T J) = I: multiply by J, use J^2 = -I.
-    -J M^T J is J times each row of J M^T, whose columns are J times the rows of M."""
-    minus_j_mt_j = tuple(map(lat.dual, intmat.transpose(tuple(map(lat.dual, m)))))
-    return intmat.mat_mul(m, minus_j_mt_j) == intmat.identity(lat.rank)
+    """M^T J M = J, tested column pair by column pair: <Me_i, Me_j> must be
+    <e_i, e_j>, which is 1 for (i, j) = (2t, 2t + 1) and 0 for the other
+    i < j. The form is alternating, so the diagonal and the pairs i > j
+    follow. Stops at the first pair that fails."""
+    if len(m) != lat.rank or any(len(row) != lat.rank for row in m):
+        raise ValueError(f"matrix is not {lat.rank}x{lat.rank}")
+    cols = list(zip(*m))
+    for i, x in enumerate(cols):
+        for j in range(i + 1, lat.rank):
+            if lat.pair(x, cols[j]) != (j == i + 1 and i % 2 == 0):
+                return False
+    return True
 
 
 def monodromy_rep(lat: SkewLattice, chain: Sequence[CurveClass], eps: int) -> list[Matrix]:
     """Transvection matrices of a chain: adjacent pairs satisfy the braid
-    relation, distant pairs commute, as matrix identities."""
+    relation, distant pairs commute, as matrix identities.
+
+    Only the k - 1 braid relations are multiplied out. With
+    T_c = I + eps*c*(Jc)^T, the commutator is
+    T_a T_b - T_b T_a = <b,a>*(a(Jb)^T + b(Ja)^T), and for nonzero a, b it
+    vanishes exactly when <a,b> = 0, which _require_chain checks for every
+    distant pair.
+    """
     _require_chain(lat, chain)
     ms = [transvection_matrix(lat, c, eps) for c in chain]
-    for i, a in enumerate(chain):
-        for j in range(i + 1, len(ms)):
-            # T_a x = T_b y: x, y = T_b, T_a, or T_b T_a, T_a T_b when adjacent
-            b, x, y = chain[j], ms[j], ms[i]
-            if j == i + 1:
-                x, y = twist_product(lat, b, eps, y), twist_product(lat, a, eps, x)
-            if twist_product(lat, a, eps, x) != twist_product(lat, b, eps, y):
-                raise RuntimeError(f"chain transvections {i + 1},{j + 1} violated a relation")
+    for i in range(len(ms) - 1):
+        a, b = chain[i], chain[i + 1]
+        # T_a T_b T_a = T_b T_a T_b
+        ab, ba = twist_product(lat, a, eps, ms[i + 1]), twist_product(lat, b, eps, ms[i])
+        if twist_product(lat, a, eps, ba) != twist_product(lat, b, eps, ab):
+            raise RuntimeError(f"chain transvections {i + 1},{i + 2} violated a relation")
     return ms
 
 
@@ -186,16 +204,17 @@ def chain_product_square(lat: SkewLattice, chain: Sequence[CurveClass]) -> Matri
     For even k the result is minus the identity on the span of the chain; for
     odd k it fixes every chain class (the boundary classes of the chain
     neighborhood pair to zero with each c_i). Each factor, from the right
-    end, is one twist product.
+    end, is one twist product, and the product is squared by one matrix
+    product.
     """
     if len(chain) < 2:
         raise ValueError("chain must have at least 2 classes")
     _require_chain(lat, chain)
     factors = [c for j in range(len(chain)) for c in chain[j::-1]]
     prod = intmat.identity(lat.rank)
-    for c in reversed(factors * 2):
+    for c in reversed(factors):
         prod = twist_product(lat, c, 1, prod)
-    return prod
+    return intmat.mat_mul(prod, prod)
 
 
 def _first_class(lat: SkewLattice, m1: Matrix, m3: Matrix, m4: Matrix) -> CurveClass | None:
@@ -231,12 +250,14 @@ def extract_triple(
     each M_i - V = eps*c_i*((Jc_i)^T V) rank one. The line of c_1 comes from
     the columns of M_1 - M_3 and M_1 - M_4 (see _first_class). With the sign
     that gives the direction V = T_{c_1}^{-eps} M_1, and each c_i is the
-    primitive form of any nonzero column of M_i - V. V must preserve the
-    pairing, and c_i commutes with V exactly when Vc_i = +-c_i, as
-    V T_c V^{-1} = T_{Vc}. Anything inconsistent yields NotRecognized; the
-    final check T_{c_i}^eps V == M_i accepts only genuine triples.
-    Recovered classes are sign-normalized (first nonzero coordinate
-    positive); eps carries the orientation ambiguity.
+    primitive form of the first nonzero column of M_i - V. V must preserve
+    the pairing; twists preserve it, so V does exactly when M_1 does, and
+    M_1 is tested once. c_i commutes with V exactly when Vc_i = +-c_i, as
+    V T_c V^{-1} = T_{Vc}. Anything inconsistent yields NotRecognized; each
+    class is checked as it is found, and T_{c_i}^eps V == M_i for every i
+    accepts only genuine triples. Recovered classes are sign-normalized
+    (first nonzero coordinate positive); eps carries the orientation
+    ambiguity.
     """
     ms = [intmat.as_matrix(m) for m in ms]
     if len(ms) < 5:
@@ -248,18 +269,19 @@ def extract_triple(
         return CYCLIC
 
     c1 = _first_class(lat, ms[0], ms[2], ms[3])
-    if c1 is None:
+    if c1 is None or not is_pairing_preserving(lat, ms[0]):
         return NOT_RECOGNIZED
     for eps in (1, -1):
         v = twist_product(lat, c1, -eps, ms[0])
-        if not is_pairing_preserving(lat, v):
-            continue
         chain: list[CurveClass] = []
         for m in ms:
-            col = next((col for col in zip(*intmat.mat_sub(m, v)) if any(col)), None)
+            col = next((tuple(map(sub, a, b)) for a, b in zip(zip(*m), zip(*v)) if a != b), None)
             if col is None:
                 break
-            chain.append(CurveClass(intmat.sign_normalized(intmat.primitive(col))))
+            c = CurveClass(intmat.sign_normalized(intmat.primitive(col)))
+            if twist_product(lat, c, eps, v) != m:
+                break
+            chain.append(c)
         if len(chain) != len(ms) or chain[0] != c1:
             continue
         try:
@@ -268,18 +290,18 @@ def extract_triple(
             continue
         if any(intmat.mat_vec(v, c.v) not in (c.v, tuple(-x for x in c.v)) for c in chain):
             continue
-        if any(twist_product(lat, c, eps, v) != m for c, m in zip(chain, ms)):
-            continue
         return TransvectionTriple(tuple(chain), eps, v)
     return NOT_RECOGNIZED
 
 
 class CentralExtElement(Record):
-    """A pairing-preserving matrix with a formal central boundary-twist vector.
+    """A square integer matrix with a formal central boundary-twist vector.
 
     Multiplication multiplies matrices and adds twist vectors, so the group
     is a direct product and the twist part commutes with everything by
-    construction.
+    construction. Construction checks only that the matrix is square with
+    at least one row; lift_adjust tests invertibility, and nothing here
+    tests pairing preservation.
     """
 
     mat: Matrix
@@ -287,6 +309,8 @@ class CentralExtElement(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "mat", intmat.as_matrix(self.mat))
+        if not self.mat or any(len(row) != len(self.mat) for row in self.mat):
+            raise ValueError("matrix part must be square with at least one row")
         object.__setattr__(self, "twist", tuple(int(x) for x in self.twist))
 
     def __mul__(self, other: CentralExtElement) -> CentralExtElement:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import reduce
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -17,7 +18,7 @@ Vector = tuple[int, ...]
 
 
 def as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 def identity(n: int) -> Matrix:
@@ -28,23 +29,19 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a[0]) != len(b):
         raise ValueError("matrix dimensions do not match")
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v, strict=True)) for row in a)
+    if any(len(row) != len(v) for row in a):
+        raise ValueError("matrix and vector dimensions do not match")
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(x - y for x, y in zip(r, s, strict=True)) for r, s in zip(a, b, strict=True)
     )
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
 
 
 def primitive(v: Sequence[int]) -> Vector:

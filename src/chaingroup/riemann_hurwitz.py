@@ -141,12 +141,26 @@ class Section5Report(Record):
     kernel_exceeds_bound: bool
 
 
+# The report prints 3*d*m^(r-2) and 12r - 12 in decimal; 14 000 bits is at
+# most 4215 digits, inside the interpreter's 4300-digit str() limit.
+AUDIT5_MAX_BITS = 14_000
+
+
 def section5_audit(r: int, m: int, d: int) -> Section5Report:
-    """Evaluate the periodic and pseudo-Anosov contradiction inequalities."""
+    """Evaluate the periodic and pseudo-Anosov contradiction inequalities.
+
+    Refuses, before any power is computed, inputs whose report would hold a
+    number of more than AUDIT5_MAX_BITS bits. As m <= 2^bitlen(m - 1), the
+    kernel bound 3*d*m^(r-2) has at most bitlen(3d) + (r-2)*bitlen(m - 1)
+    bits.
+    """
     if r < 3 or m < 1 or d < 1:
         raise ValueError("need r >= 3 and positive m, d")
     if m % d != 0:
         raise ValueError("d must divide m")
+    bits = max((3 * d).bit_length() + (r - 2) * (m - 1).bit_length(), (12 * r).bit_length())
+    if bits > AUDIT5_MAX_BITS:
+        raise ValueError(f"report numbers would exceed {AUDIT5_MAX_BITS} bits")
     card = d * m ** (r - 2)
     kernel = 3 * card
     chi_bound = 6 * (2 * r - 2)

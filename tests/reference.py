@@ -24,6 +24,10 @@ spirit of Bareiss (Sylvester's identity and multistep integer-preserving
 Gaussian elimination, Math. Comp. 22, 1968); the package itself eliminates
 only in chaingroup.finite.smith_normal_form.
 
+The all-pairs monodromy check is the reference for homology.monodromy_rep,
+which multiplies out only the braid relations of adjacent classes: it also
+multiplies out every distant pair's commutator.
+
 The lift by inverses is the reference for homology.lift_adjust, which reads
 the correction off the direct-product structure: it forms each braid defect
 W_i = (A_i A_{i+1} A_i)(A_{i+1} A_i A_{i+1})^{-1} with an echelon inverse,
@@ -189,7 +193,31 @@ def apply_transvection(
     return [intmat.mat_mul(m, v) for m in rep]
 
 
+def monodromy_rep_all_pairs(
+    lat: homology.SkewLattice, chain: Sequence[homology.CurveClass], eps: int
+) -> list[Matrix]:
+    """Transvection matrices of a chain as homology.monodromy_rep returns
+    them, with every adjacent braid relation and every distant commutation
+    checked as a matrix identity."""
+    twist_product = homology.twist_product
+    homology._require_chain(lat, chain)
+    ms = [homology.transvection_matrix(lat, c, eps) for c in chain]
+    for i, a in enumerate(chain):
+        for j in range(i + 1, len(ms)):
+            # T_a x = T_b y: x, y = T_b, T_a, or T_b T_a, T_a T_b when adjacent
+            b, x, y = chain[j], ms[j], ms[i]
+            if j == i + 1:
+                x, y = twist_product(lat, b, eps, y), twist_product(lat, a, eps, x)
+            if twist_product(lat, a, eps, x) != twist_product(lat, b, eps, y):
+                raise RuntimeError(f"chain transvections {i + 1},{j + 1} violated a relation")
+    return ms
+
+
 # ------------------------------------------------ dense symplectic form ----
+
+
+def transpose(a: Matrix) -> Matrix:
+    return tuple(zip(*a))
 
 
 def dense_pairing(g: int) -> Matrix:
@@ -211,7 +239,7 @@ def dense_transvection(J: Matrix, c: Sequence[int], eps: int) -> Matrix:
 
 def dense_preserves(J: Matrix, m: Matrix) -> bool:
     """M^T J M == J."""
-    return intmat.mat_mul(intmat.mat_mul(intmat.transpose(m), J), m) == J
+    return intmat.mat_mul(intmat.mat_mul(transpose(m), J), m) == J
 
 
 def negated(m: Matrix) -> Matrix:
@@ -276,7 +304,7 @@ def int_inverse(a: Matrix) -> Matrix | None:
 def column_space_basis(a: Matrix) -> list[Vector]:
     """Primitive integer vectors spanning the column space over Q: the
     nonzero echelon rows of the transpose."""
-    rows, pivots = _echelon(intmat.transpose(a))
+    rows, pivots = _echelon(transpose(a))
     return [tuple(row) for row in rows[: len(pivots)]]
 
 
@@ -288,10 +316,10 @@ def intersect_spans(us: list[Vector], vs: list[Vector]) -> list[Vector]:
     """
     if not us or not vs:
         return []
-    ker = kernel_basis(intmat.transpose(tuple(us) + tuple(vs)))
-    u_cols = intmat.transpose(us)
+    ker = kernel_basis(transpose(tuple(us) + tuple(vs)))
+    u_cols = transpose(us)
     common = [intmat.mat_vec(u_cols, k[: len(us)]) for k in ker]
-    return column_space_basis(intmat.transpose(common))
+    return column_space_basis(transpose(common))
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
@@ -321,7 +349,7 @@ def kernel_basis(a: Matrix) -> list[Vector]:
 
 def symplectic_inverse(lat: homology.SkewLattice, m: Matrix) -> Matrix | None:
     """M^{-1} = -J M^T J when M preserves the pairing, else None."""
-    inv = tuple(map(lat.dual, intmat.transpose(tuple(map(lat.dual, m)))))
+    inv = tuple(map(lat.dual, transpose(tuple(map(lat.dual, m)))))
     return inv if intmat.mat_mul(m, inv) == intmat.identity(lat.rank) else None
 
 

@@ -467,6 +467,21 @@ class TestRhCommands:
         code, out, _ = run(capsys, "rh", "audit5", "--r", "3", "--m", "3", "--d", "3")
         assert code == 0 and "ineq7_holds=False" in out
 
+    @pytest.mark.parametrize("r, m", [("6000", "6"), ("5000", "9"), ("100000000", "6"),
+                                      ("4668", "6"), ("3502", "9")])
+    def test_audit5_too_large_refused_before_printing(self, capsys, r, m):
+        code, out, err = run(capsys, "rh", "audit5", "--r", r, "--m", m, "--d", "3")
+        assert (code, out) == (2, "") and "14000 bits" in err
+
+    @pytest.mark.parametrize("r, m", [(4667, 6), (3501, 9)])
+    def test_audit5_largest_admitted_prints_whole(self, capsys, r, m):
+        code, out, _ = run(capsys, "rh", "audit5", "--r", str(r), "--m", str(m), "--d", "3")
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[-3] == f"subgroup_card={3 * m ** (r - 2)}"
+        assert lines[-2].startswith(f"kernel_lower_bound={9 * m ** (r - 2)} ")
+        assert lines[-1].endswith(f"r={r} m={m} d=3")
+
 
 class TestSuites:
     @pytest.mark.parametrize(

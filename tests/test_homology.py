@@ -32,6 +32,7 @@ from reference import (
     extract_triple_by_inverses,
     kernel_basis,
     lift_adjust_by_inverses,
+    monodromy_rep_all_pairs,
     negated,
 )
 
@@ -74,6 +75,13 @@ class TestStandardLattice:
         lat = standard_lattice(2)
         for x, y in [((1, 0), (0, 1)), ((1, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 1))]:
             with pytest.raises(ValueError):
+                lat.pair(x, y)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_either_side_of_the_wrong_length_rejected(self, n):
+        lat, v, w = standard_lattice(2), (1, 0, 0, 0), (1,) * n
+        for x, y in ((v, w), (w, v)):
+            with pytest.raises(ValueError, match=f"length {n}, lattice rank is 4"):
                 lat.pair(x, y)
 
     def test_genus_zero_unsupported(self):
@@ -213,6 +221,12 @@ class TestStructuredAgainstDense:
         m = intmat.as_matrix(m)
         assert is_pairing_preserving(lat, m) == dense_preserves(J, m)
 
+    @pytest.mark.parametrize("m", [intmat.identity(2), intmat.identity(6), ((1, 0, 0, 0),) * 3,
+                                   ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1), (0, 0, 0, 1))])
+    def test_preservation_needs_a_square_matrix_of_the_rank(self, m):
+        with pytest.raises(ValueError, match="not 4x4"):
+            is_pairing_preserving(standard_lattice(2), m)
+
     def test_chain_product_square_is_the_dense_product(self):
         for g in (1, 2, 3):
             lat, J = standard_lattice(g), dense_pairing(g)
@@ -269,6 +283,53 @@ class TestMonodromyRep:
         bad = [CurveClass((1, 0)), CurveClass((0, 1))]
         with pytest.raises(ValueError, match=r"\(1, 0\)"):
             monodromy_rep(lat, bad, 1)
+
+
+class TestMonodromyRepAgainstAllPairs:
+    KINDS = (
+        "moved", "perturbed", "swapped", "replaced", "dropped", "doubled", "negated", "zero",
+        "short", "sign",
+    )
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(1, 5), st.integers(1, 11), st.sampled_from(KINDS), st.integers(0, 2**32 - 1)
+    )
+    def test_same_outcome_as_the_all_pairs_check(self, g, k, kind, seed):
+        """Chains moved by a random symplectic matrix, and ones with a class
+        perturbed, swapped, replaced, dropped, repeated, negated, zeroed or
+        cut short, or with a sign other than +-1."""
+        rng = random.Random(seed)
+        lat = standard_lattice(g)
+        k = min(k, 2 * g + 1)
+        s = random_symplectic(lat, rng, steps=rng.randint(0, 6))
+        chain = [intmat.primitive(intmat.mat_vec(s, c.v)) for c in build_chain(lat, k)]
+        eps = rng.choice([1, -1])
+        i, j = rng.randrange(k), rng.randrange(k)
+        if kind == "perturbed":
+            v = list(chain[i])
+            v[rng.randrange(2 * g)] += rng.choice((-2, -1, 1, 2))
+            chain[i] = intmat.primitive(v)
+        elif kind == "swapped":
+            chain[i], chain[j] = chain[j], chain[i]
+        elif kind == "replaced":
+            chain[i] = random_primitive(rng, 2 * g).v
+        elif kind == "dropped":
+            del chain[i]
+        elif kind == "doubled":
+            chain.insert(i, chain[j])
+        elif kind == "negated":
+            chain[i] = tuple(-x for x in chain[i])
+        elif kind == "zero":
+            chain[i] = (0,) * (2 * g)
+        elif kind == "short":
+            chain[i] = intmat.primitive(chain[i][1:])
+        elif kind == "sign":
+            eps = rng.choice((0, 2, -2))
+        classes = [CurveClass(v) for v in chain]
+        assert _outcome(monodromy_rep, lat, classes, eps) == _outcome(
+            monodromy_rep_all_pairs, lat, classes, eps
+        )
 
 
 class TestChainProductSquare:
@@ -496,6 +557,11 @@ def _elem(mat, twist):
 
 
 class TestCentralExtension:
+    @pytest.mark.parametrize("mat", [((1, 2),), ((1,), (0,)), (), ((1, 0), (0,))])
+    def test_square_matrix_required(self, mat):
+        with pytest.raises(ValueError, match="square"):
+            _elem(mat, ())
+
     def test_multiplication_adds_twists(self):
         lat = standard_lattice(1)
         m = transvection_matrix(lat, CurveClass((1, 0)), 1)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaingroup import intmat
-from reference import column_space_basis, int_inverse, intersect_spans, kernel_basis
+from reference import column_space_basis, int_inverse, intersect_spans, kernel_basis, transpose
 
 
 def reference_rank(vectors) -> int:
@@ -28,7 +28,7 @@ def is_primitive(v) -> bool:
 
 
 def columns(a):
-    return [tuple(col) for col in intmat.transpose(a)]
+    return [tuple(col) for col in transpose(a)]
 
 
 @st.composite
@@ -104,8 +104,8 @@ def test_intersect_spans_dimension(case, data):
     cols = columns(a)
     u_end = data.draw(st.integers(1, len(cols)))
     v_start = data.draw(st.integers(0, len(cols) - 1))
-    us = column_space_basis(intmat.transpose(cols[:u_end]))
-    vs = column_space_basis(intmat.transpose(cols[v_start:]))
+    us = column_space_basis(transpose(cols[:u_end]))
+    vs = column_space_basis(transpose(cols[v_start:]))
     common = intersect_spans(us, vs)
     assert len(common) == len(us) + len(vs) - reference_rank(us + vs)
     assert all(is_primitive(w) for w in common)
@@ -149,3 +149,9 @@ def test_shape_mismatch_raises(op, a, b):
 def test_mat_vec_length_mismatch_raises(v):
     with pytest.raises(ValueError):
         intmat.mat_vec(((1, 2), (3, 4)), v)
+
+
+@pytest.mark.parametrize("a", [((1, 2), (3,)), ((1,), (3, 4)), ((1, 2), (3, 4, 5))])
+def test_mat_vec_ragged_row_raises(a):
+    with pytest.raises(ValueError):
+        intmat.mat_vec(a, (1, 1))

@@ -118,6 +118,19 @@ class TestSectionFiveAudit:
         with pytest.raises(ValueError):
             section5_audit(3, 4, 3)
 
+    @pytest.mark.parametrize(
+        "r, m, d",
+        [(4668, 6, 3), (3502, 9, 3), (10**8, 6, 3), (3, 2**7000, 2**7000), (10**4300, 1, 1)],
+        ids=["r4668-m6", "r3502-m9", "r1e8-m6", "r3-m2e7000", "r1e4300-m1"],
+    )
+    def test_report_numbers_bounded(self, r, m, d):
+        with pytest.raises(ValueError, match="bits"):
+            section5_audit(r, m, d)
+
+    def test_unit_m_admits_any_r(self):
+        rep = section5_audit(10**8, 1, 1)
+        assert rep.subgroup_card == 1 and rep.chi_bound == 12 * 10**8 - 12
+
 
 class TestTextFormat:
     def test_round_trip(self):
