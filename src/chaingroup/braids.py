@@ -13,16 +13,22 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from . import Record
 
-class BraidWord:
+
+class BraidWord(Record):
     """A word in the standard generators of the braid group on n strands.
 
     Concatenation is associative with the empty word as identity; inversion
-    reverses the letter sequence and flips every sign. Words are immutable,
-    equal when n and the letters are, and hash accordingly.
+    reverses the letter sequence and flips every sign. Words are frozen
+    records: equal when n and the letters are, and hashed accordingly. The
+    constructor is written out, as the hottest one in the package.
     """
 
     __slots__ = ("n", "letters")
+    # the fields that Record compares, hashes and freezes
+    n: int
+    letters: tuple[int, ...]
 
     def __init__(self, n: int, letters: Iterable[int] = ()):
         if n < 2:
@@ -33,20 +39,6 @@ class BraidWord:
                 raise ValueError(f"letter {x} out of range for {n} strands")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", letters)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n and self.letters == other.letters
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.letters))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -82,8 +74,6 @@ def garside(n: int) -> BraidWord:
 
     Its length is n(n-1)/2 and its square generates the center.
     """
-    if n < 2:
-        raise ValueError(f"strand count must be at least 2, got {n}")
     out: list[int] = []
     for j in range(1, n):
         out.extend(range(j, 0, -1))
@@ -92,8 +82,6 @@ def garside(n: int) -> BraidWord:
 
 def flip_delta(n: int) -> BraidWord:
     """The 1/n-flip t_1 t_2 ... t_{n-1}; conjugation by it shifts indices."""
-    if n < 2:
-        raise ValueError(f"strand count must be at least 2, got {n}")
     return BraidWord(n, tuple(range(1, n)))
 
 

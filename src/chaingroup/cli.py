@@ -3,6 +3,7 @@
 One result per line, with a machine-parsable key=value trailer. Exit status:
 0 when the requested check passes or the object is produced, 1 when a check
 fails, 2 for usage or malformed input, 3 for unexpected internal errors.
+Every answer, its trailer and its exit code go out through _answer.
 CHAINGROUP_BUDGET (an integer) caps enumeration sizes for the permutation
 and graph searches. Each handler imports the modules it runs, so start-up
 loads this module alone.
@@ -11,9 +12,10 @@ loads this module alone.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 # Parse-time size caps, each exiting 2. Above them the answers outgrow
 # memory or time: `braid garside --n 1000` prints 499 500 letters in about
@@ -33,6 +35,44 @@ SNF_MAX_SIDE = 64
 HOMOLOGY_MAX_GENUS = 64
 # `graph generate --m 100000` prints about 1 MB in about 0.4 s.
 GRAPH_MAX_EDGES = 100_000
+
+
+def _answer(lines: Iterable, code: int = 0, **trailer) -> int:
+    """Print the body lines as they come, then the trailer; return the exit code.
+
+    The only writer of answers: lines may be a generator, so long listings
+    stream, and the trailer fields print in the order given.
+    """
+    for line in lines:
+        print(line)
+    print(_fields(**trailer))
+    return code
+
+
+def _verdict(ok: bool, lines: Iterable, **trailer) -> int:
+    """The answer to a check: exit code 0 when it holds, 1 when it fails."""
+    return _answer(lines, 0 if ok else 1, **trailer)
+
+
+def _fields(**fields) -> str:
+    """key=value pairs: booleans as true/false, tuples as comma lists."""
+    out = []
+    for key, value in fields.items():
+        if isinstance(value, tuple):
+            value = ",".join(map(str, value))
+        out.append(f"{key}={str(value).lower() if isinstance(value, bool) else value}")
+    return " ".join(out)
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    """A comma-separated list of integers. Empty text is the empty list; an
+    empty field, as in 4,,4, raises ValueError."""
+    return tuple(int(t) for t in text.split(",")) if text else ()
+
+
+def _blocks(text: str) -> list[str]:
+    """The blank-line-separated blocks of text, empty ones skipped."""
+    return [b for b in text.split("\n\n") if b.strip()]
 
 
 def _budget(default: int) -> int:
@@ -64,37 +104,27 @@ def _word(n: int, text: str) -> braids.BraidWord:
 def _cmd_braid(args) -> int:
     from . import braids, oracle
 
+    n = args.n
     if args.op == "garside":
-        print(braids.format_braid(braids.garside(args.n)))
-        print(f"check=half-twist-word n={args.n} length={args.n * (args.n - 1) // 2}")
-        return 0
+        body = [braids.format_braid(braids.garside(n))]
+        return _answer(body, check="half-twist-word", n=n, length=n * (n - 1) // 2)
     if args.op == "delta":
-        w = braids.flip_delta(args.n)
-        print(braids.format_braid(w))
-        print(f"check=index-shift-word n={args.n} exponent={braids.exponent(w)}")
-        return 0
+        w = braids.flip_delta(n)
+        body = [braids.format_braid(w)]
+        return _answer(body, check="index-shift-word", n=n, exponent=braids.exponent(w))
     if args.op == "gen":
-        w = braids.generator(args.n, args.k)
-        print(braids.format_braid(w))
-        print(f"check=generator-normalization n={args.n} k={args.k}")
-        return 0
+        body = [braids.format_braid(braids.generator(n, args.k))]
+        return _answer(body, check="generator-normalization", n=n, k=args.k)
     if args.op == "exp":
-        w = _word(args.n, args.word)
-        print(braids.exponent(w))
-        print(f"check=sign-sum n={args.n}")
-        return 0
+        return _answer([braids.exponent(_word(n, args.word))], check="sign-sum", n=n)
     if args.op == "eq":
-        u, v = _word(args.n, args.words[0]), _word(args.n, args.words[1])
-        equal = oracle.are_equal(u, v)
-        print("equal" if equal else "not-equal")
-        print(f"check=word-equality n={args.n} result={str(equal).lower()}")
-        return 0 if equal else 1
+        ok = oracle.are_equal(_word(n, args.words[0]), _word(n, args.words[1]))
+        body = ["equal" if ok else "not-equal"]
+        return _verdict(ok, body, check="word-equality", n=n, result=ok)
     if args.op == "central":
-        w = _word(args.n, args.word)
-        central = oracle.is_central(w)
-        print("central" if central else "not-central")
-        print(f"check=centrality n={args.n} result={str(central).lower()}")
-        return 0 if central else 1
+        ok = oracle.is_central(_word(n, args.word))
+        body = ["central" if ok else "not-central"]
+        return _verdict(ok, body, check="centrality", n=n, result=ok)
     raise AssertionError(args.op)
 
 
@@ -107,111 +137,74 @@ def _cmd_hom(args) -> int:
     if args.op == "verify":
         h = homs.parse_hom(_read_input(args.file))
         ok = oracle.verify_candidate_hom(h.n, {i + 1: w for i, w in enumerate(h.images)})
-        print("homomorphism" if ok else "relation-failed")
-        print(f"check=generator-relations n={h.n} m={h.m} result={str(ok).lower()}")
-        return 0 if ok else 1
+        body = ["homomorphism" if ok else "relation-failed"]
+        return _verdict(ok, body, check="generator-relations", n=h.n, m=h.m, result=ok)
     if args.op == "theorem4":
-        gamma = _word(args.n, args.gamma or "")
-        h = homs.theorem4_endo(args.n, gamma, args.eps, args.k)
-        print(homs.format_hom(h))
-        print(f"check=conjugated-power-endomorphism n={args.n} eps={args.eps} k={args.k}")
-        return 0
+        h = homs.theorem4_endo(args.n, _word(args.n, args.gamma), args.eps, args.k)
+        return _answer([homs.format_hom(h)], check="conjugated-power-endomorphism", n=args.n,
+                       eps=args.eps, k=args.k)
     if args.op == "cable":
-        h = homs.cabling_b3(args.k)
-        print(homs.format_hom(h))
-        print(f"check=cable-half-twist k={args.k} target={3 * args.k}")
-        return 0
+        body = [homs.format_hom(homs.cabling_b3(args.k))]
+        return _answer(body, check="cable-half-twist", k=args.k, target=3 * args.k)
     if args.op == "cyclic":
         h = homs.parse_hom(_read_input(args.file))
         homs.BraidHom.checked(h.n, h.m, h.images)
-        cyc = homs.cyclic_test(h)
-        print("cyclic" if cyc else "noncyclic")
-        print(f"check=all-images-equal result={str(cyc).lower()}")
-        return 0 if cyc else 1
+        ok = homs.cyclic_test(h)
+        return _verdict(ok, ["cyclic" if ok else "noncyclic"], check="all-images-equal", result=ok)
     raise AssertionError(args.op)
 
 
 # ------------------------------------------------------------- homology ----
 
 
-def _parse_matrix_blocks(text: str) -> list:
-    from . import homology
-
-    blocks = [b for b in text.split("\n\n") if b.strip()]
-    return [homology.parse_matrix(b) for b in blocks]
-
-
 def _parse_elements(text: str) -> list[homology.CentralExtElement]:
     from . import homology
 
     out = []
-    for block in (b for b in text.split("\n\n") if b.strip()):
+    for block in _blocks(text):
         lines = [ln for ln in block.splitlines() if ln.strip()]
-        twist: tuple[int, ...] = ()
-        if lines and lines[-1].startswith("twist="):
-            raw = lines.pop()[6:]
-            twist = tuple(int(t) for t in raw.split(",")) if raw else ()
-        mat = homology.parse_matrix("\n".join(lines))
-        out.append(homology.CentralExtElement(mat, twist))
+        twist = _ints(lines.pop()[6:]) if lines and lines[-1].startswith("twist=") else ()
+        out.append(homology.CentralExtElement(homology.parse_matrix("\n".join(lines)), twist))
     return out
 
 
 def _format_element(e: homology.CentralExtElement) -> str:
     from . import homology
 
-    twist = ",".join(map(str, e.twist))
-    return homology.format_matrix(e.mat) + f"\ntwist={twist}"
+    return homology.format_matrix(e.mat) + "\n" + _fields(twist=e.twist)
 
 
 def _cmd_homology(args) -> int:
     from . import homology
 
-    if args.op == "chain":
-        lat = homology.standard_lattice(args.genus)
-        chain = homology.build_chain(lat, args.k)
-        print(homology.format_chain(chain))
-        print(f"check=chain-intersection-pattern genus={args.genus} k={args.k}")
-        return 0
-    if args.op == "rep":
-        lat = homology.standard_lattice(args.genus)
-        chain = homology.build_chain(lat, args.k)
-        ms = homology.monodromy_rep(lat, chain, args.eps)
-        print("\n\n".join(homology.format_matrix(m) for m in ms))
-        print(f"check=twist-relations genus={args.genus} k={args.k} eps={args.eps}")
-        return 0
-    if args.op == "square":
-        lat = homology.standard_lattice(args.genus)
-        chain = homology.build_chain(lat, args.k)
-        sq = homology.chain_product_square(lat, chain)
-        print(homology.format_matrix(sq))
-        parity = "even" if args.k % 2 == 0 else "odd"
-        print(f"check=chain-relation-square genus={args.genus} k={args.k} parity={parity}")
-        return 0
     if args.op == "extract":
-        ms = _parse_matrix_blocks(_read_input(args.file))
+        ms = [homology.parse_matrix(b) for b in _blocks(_read_input(args.file))]
         if not ms or len(ms[0]) % 2 != 0:
             raise ValueError("need square matrices of even rank")
-        lat = homology.standard_lattice(len(ms[0]) // 2)
-        res = homology.extract_triple(lat, ms)
-        if isinstance(res, homology.CyclicVerdict):
-            print("cyclic")
-            print("check=triple-recovery result=cyclic")
-            return 0
-        if isinstance(res, homology.NotRecognized):
-            print("not-recognized")
-            print("check=triple-recovery result=not-recognized")
-            return 1
-        print(homology.format_chain(list(res.chain)))
-        print(f"eps={res.epsilon}")
-        print(homology.format_matrix(res.direction))
-        print("check=triple-recovery result=ok")
-        return 0
+        res = homology.extract_triple(homology.standard_lattice(len(ms[0]) // 2), ms)
+        if isinstance(res, homology.TransvectionTriple):
+            body = [homology.format_chain(list(res.chain)), f"eps={res.epsilon}",
+                    homology.format_matrix(res.direction)]
+            return _answer(body, check="triple-recovery", result="ok")
+        word = "cyclic" if isinstance(res, homology.CyclicVerdict) else "not-recognized"
+        return _verdict(word == "cyclic", [word], check="triple-recovery", result=word)
     if args.op == "lift":
-        elements = _parse_elements(_read_input(args.file))
-        adjusted = homology.lift_adjust(elements)
-        print("\n\n".join(_format_element(e) for e in adjusted))
-        print(f"check=central-defect-correction count={len(adjusted)}")
-        return 0
+        adjusted = homology.lift_adjust(_parse_elements(_read_input(args.file)))
+        body = ["\n\n".join(map(_format_element, adjusted))]
+        return _answer(body, check="central-defect-correction", count=len(adjusted))
+    lat = homology.standard_lattice(args.genus)
+    chain = homology.build_chain(lat, args.k)
+    if args.op == "chain":
+        return _answer([homology.format_chain(chain)], check="chain-intersection-pattern",
+                       genus=args.genus, k=args.k)
+    if args.op == "rep":
+        ms = homology.monodromy_rep(lat, chain, args.eps)
+        body = ["\n\n".join(map(homology.format_matrix, ms))]
+        return _answer(body, check="twist-relations", genus=args.genus, k=args.k, eps=args.eps)
+    if args.op == "square":
+        body = [homology.format_matrix(homology.chain_product_square(lat, chain))]
+        return _answer(body, check="chain-relation-square", genus=args.genus, k=args.k,
+                       parity="even" if args.k % 2 == 0 else "odd")
     raise AssertionError(args.op)
 
 
@@ -221,29 +214,21 @@ def _cmd_homology(args) -> int:
 def _cmd_ln(args) -> int:
     from . import finite
 
-    if args.op == "validate":
-        p = finite.LnParams(args.r, args.M, args.m, args.d, args.s)
-        ok = finite.validate_params(p)
-        print("valid" if ok else "invalid")
-        print(f"check=divisibility-constraints result={str(ok).lower()}")
-        return 0 if ok else 1
-    if args.op == "card":
-        p = finite.LnParams(args.r, args.M, args.m, args.d, args.s)
-        inv = finite.ln_group(p)
-        print(inv.cardinality())
-        factors = ",".join(map(str, inv.factors))
-        print(f"check=quotient-cardinality factors={factors}")
-        return 0
     if args.op == "snf":
         lines = [ln.split() for ln in _read_input(args.file).splitlines() if ln.strip()]
         if len(lines) > SNF_MAX_SIDE or any(len(tokens) > SNF_MAX_SIDE for tokens in lines):
             raise ValueError(f"ln snf takes at most {SNF_MAX_SIDE} rows and columns")
-        rows = [[int(t) for t in tokens] for tokens in lines]
-        inv = finite.smith_normal_form(rows)
-        print(f"factors={','.join(map(str, inv.factors))}")
-        print(f"free_rank={inv.free_rank}")
-        print("check=invariant-factors")
-        return 0
+        inv = finite.smith_normal_form([[int(t) for t in tokens] for tokens in lines])
+        body = [_fields(factors=inv.factors), _fields(free_rank=inv.free_rank)]
+        return _answer(body, check="invariant-factors")
+    p = finite.LnParams(args.r, args.M, args.m, args.d, args.s)
+    if args.op == "validate":
+        ok = finite.validate_params(p)
+        body = ["valid" if ok else "invalid"]
+        return _verdict(ok, body, check="divisibility-constraints", result=ok)
+    if args.op == "card":
+        inv = finite.ln_group(p)
+        return _answer([inv.cardinality()], check="quotient-cardinality", factors=inv.factors)
     raise AssertionError(args.op)
 
 
@@ -251,10 +236,7 @@ def _cmd_ln(args) -> int:
 
 
 def _format_perm_images(rep: finite.PermRep) -> str:
-    parts = []
-    for g in rep.images:
-        parts.append(" ".join(f"{i + 1}->{x + 1}" for i, x in enumerate(g)))
-    return " ; ".join(parts)
+    return " ; ".join(" ".join(f"{i + 1}->{x + 1}" for i, x in enumerate(g)) for g in rep.images)
 
 
 def _cmd_perm(args) -> int:
@@ -266,13 +248,12 @@ def _cmd_perm(args) -> int:
     else:
         reps = finite.enum_perm_reps(args.n, args.k, dedup_conjugacy=args.dedup, budget=budget)
         count, cyclic = len(reps), sum(1 for r in reps if r.is_cyclic())
-    print(f"count={count} cyclic={cyclic} noncyclic={count - cyclic}")
+    body = [_fields(count=count, cyclic=cyclic, noncyclic=count - cyclic)]
     if not args.summary:
-        for rep in reps:
-            tag = "cyclic" if rep.is_cyclic() else "noncyclic"
-            print(f"{tag} : {_format_perm_images(rep)}")
-    print(f"check=relation-search n={args.n} k={args.k}")
-    return 0
+        body = itertools.chain(body, (
+            f"{'cyclic' if r.is_cyclic() else 'noncyclic'} : {_format_perm_images(r)}"
+            for r in reps))
+    return _answer(body, check="relation-search", n=args.n, k=args.k)
 
 
 # ---------------------------------------------------------------- graph ----
@@ -291,41 +272,26 @@ def _cmd_graph(args) -> int:
 
     if args.op == "classify":
         g = graphs.parse_graph(_read_input(args.file))
-        cls = graphs.classify(g)
-        print(_format_class(cls))
-        print(f"check=edge-transitive-classification m={g.num_edges}")
-        return 0
+        return _answer([_format_class(graphs.classify(g))],
+                       check="edge-transitive-classification", m=g.num_edges)
     if args.op == "generate":
-        if args.type == "A":
-            if args.p is None:
-                raise ValueError("type A needs --p")
-            cls: graphs.GraphClass = graphs.TypeA(args.k, args.p, args.d)
-        else:
-            if args.l is None:
-                raise ValueError("type B needs --l")
-            cls = graphs.TypeB(args.k, args.l, args.d)
-        g = graphs.generate(cls, args.m)
-        print(graphs.format_graph(g))
-        print(f"check=template-construction m={args.m}")
-        return 0
+        kind, flag, step = {"A": (graphs.TypeA, "p", args.p),
+                            "B": (graphs.TypeB, "l", args.l)}[args.type]
+        if step is None:
+            raise ValueError(f"type {args.type} needs --{flag}")
+        body = [graphs.format_graph(graphs.generate(kind(args.k, step, args.d), args.m))]
+        return _answer(body, check="template-construction", m=args.m)
     if args.op == "brute":
-        budget = _budget(8)
-        found = graphs.brute_enumerate(args.m, budget=budget)
-        print(f"count={len(found)}")
-        for g in found:
-            print(_format_class(graphs.classify(g)))
-        print(f"check=exhaustive-search m={args.m}")
-        return 0
+        found = graphs.brute_enumerate(args.m, budget=_budget(8))
+        body = [_fields(count=len(found)), *(_format_class(graphs.classify(g)) for g in found)]
+        return _answer(body, check="exhaustive-search", m=args.m)
     if args.op == "audit":
         g = graphs.parse_graph(_read_input(args.file))
         rep = graphs.genus_audit(g, args.genus, args.b)
-        print("feasible" if rep.feasible else "infeasible")
-        print(
-            f"curves={rep.num_curves} cycles={rep.independent_cycles}"
-            f" low_degree={rep.low_degree_vertices} equality={str(rep.equality_case).lower()}"
-        )
-        print(f"check=curve-count-bounds genus={args.genus} b={args.b}")
-        return 0 if rep.feasible else 1
+        body = ["feasible" if rep.feasible else "infeasible",
+                _fields(curves=rep.num_curves, cycles=rep.independent_cycles,
+                        low_degree=rep.low_degree_vertices, equality=rep.equality_case)]
+        return _verdict(rep.feasible, body, check="curve-count-bounds", genus=args.genus, b=args.b)
     raise AssertionError(args.op)
 
 
@@ -336,41 +302,29 @@ def _cmd_rh(args) -> int:
     from . import riemann_hurwitz as rh
 
     if args.op == "check":
-        branch = tuple(int(t) for t in args.branch.split(",") if t) if args.branch else ()
-        datum = rh.RamificationData(args.chi, args.m, branch, args.chiq)
-        ok = rh.rh_check(datum)
-        print("feasible" if ok else "infeasible")
-        print(f"check=ramified-covering-equation result={str(ok).lower()}")
-        return 0 if ok else 1
+        ok = rh.rh_check(rh.RamificationData(args.chi, args.m, _ints(args.branch), args.chiq))
+        body = ["feasible" if ok else "infeasible"]
+        return _verdict(ok, body, check="ramified-covering-equation", result=ok)
     if args.op == "enum":
-        chis = [int(t) for t in args.chiqs.split(",") if t]
-        data = rh.rh_enumerate(args.chi, args.m, chis)
-        print(f"count={len(data)}")
-        for d in data:
-            print(rh.format_rh(d))
-        print(f"check=branch-data-enumeration chi={args.chi} m={args.m}")
-        return 0
+        data = rh.rh_enumerate(args.chi, args.m, _ints(args.chiqs))
+        body = [_fields(count=len(data)), *map(rh.format_rh, data)]
+        return _answer(body, check="branch-data-enumeration", chi=args.chi, m=args.m)
     if args.op == "bounds":
         bounds = rh.order_bounds(args.genus, args.b)
-        print(f"finite_subgroup_max={bounds.finite_subgroup_max}")
-        print(f"cyclic_max={bounds.cyclic_max}")
-        print(f"genus1_max={bounds.genus1_max}")
-        print(f"check=order-bounds genus={args.genus} b={args.b}")
-        return 0
+        body = [f"finite_subgroup_max={bounds.finite_subgroup_max}",
+                f"cyclic_max={bounds.cyclic_max}", f"genus1_max={bounds.genus1_max}"]
+        return _answer(body, check="order-bounds", genus=args.genus, b=args.b)
     if args.op == "audit5":
         rep = rh.section5_audit(args.r, args.m, args.d)
-        print(f"ineq6_holds={rep.ineq6_holds}")
-        if rep.ineq7_holds is not None:
-            print(f"ineq7_holds={rep.ineq7_holds}")
-        if rep.ineq8_holds is not None:
-            print(f"ineq8_holds={rep.ineq8_holds}")
-        print(f"subgroup_card={rep.subgroup_card}")
-        print(
-            f"kernel_lower_bound={rep.kernel_lower_bound} chi_bound={rep.chi_bound}"
-            f" exceeds={str(rep.kernel_exceeds_bound).lower()}"
-        )
-        print(f"check=abelian-subgroup-contradictions r={args.r} m={args.m} d={args.d}")
-        return 0
+        # the inequality verdicts print as True/False, unlike the trailer's booleans
+        body = [f"ineq{i}_holds={holds}" for i, holds in
+                ((6, rep.ineq6_holds), (7, rep.ineq7_holds), (8, rep.ineq8_holds))
+                if holds is not None]
+        body += [f"subgroup_card={rep.subgroup_card}",
+                 _fields(kernel_lower_bound=rep.kernel_lower_bound, chi_bound=rep.chi_bound,
+                         exceeds=rep.kernel_exceeds_bound)]
+        return _answer(body, check="abelian-subgroup-contradictions", r=args.r, m=args.m,
+                       d=args.d)
     raise AssertionError(args.op)
 
 
@@ -381,17 +335,10 @@ def _cmd_suite(args) -> int:
     from . import suites
 
     items = suites.SUITES[args.name](_budget(8))
-    failed = 0
-    for label, ok in items:
-        if ok is None:
-            print(f"[skip] {label}")
-        elif ok:
-            print(f"[pass] {label}")
-        else:
-            failed += 1
-            print(f"[FAIL] {label}")
-    print(f"suite={args.name} items={len(items)} failed={failed}")
-    return 0 if failed == 0 else 1
+    failed = sum(ok is not None and not ok for _, ok in items)
+    body = (f"[{'skip' if ok is None else 'pass' if ok else 'FAIL'}] {label}"
+            for label, ok in items)
+    return _verdict(failed == 0, body, suite=args.name, items=len(items), failed=failed)
 
 
 # ----------------------------------------------------------------- main ----

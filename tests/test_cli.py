@@ -457,6 +457,23 @@ class TestRhCommands:
         code, out, _ = run(capsys, "rh", "enum", "--chi", "-2", "--m", "2", "--chiqs", "2")
         assert code == 0 and out.splitlines()[0] == "count=1"
 
+    def test_check_empty_branch_means_no_branch_points(self, capsys):
+        code, out, _ = run(capsys, "rh", "check", "--chi", "0", "--m", "4", "--branch=",
+                           "--chiq", "0")
+        assert (code, out) == (0, "feasible\ncheck=ramified-covering-equation result=true\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("check", "--chi", "-8", "--m", "8", "--branch", "4,,4", "--chiq", "0"),
+         ("check", "--chi", "-8", "--m", "8", "--branch", "4,4,", "--chiq", "0"),
+         ("enum", "--chi", "-4", "--m", "4", "--chiqs=0,,1"),
+         ("enum", "--chi", "-4", "--m", "4", "--chiqs=,0")],
+        ids=["branch-inner", "branch-trailing", "chiqs-inner", "chiqs-leading"],
+    )
+    def test_empty_list_field_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "rh", *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
     def test_bounds(self, capsys):
         code, out, _ = run(capsys, "rh", "bounds", "--genus", "2", "--b", "0")
         lines = out.splitlines()

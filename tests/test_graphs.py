@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaingroup.graphs import (
     ActionGraph,
@@ -150,7 +151,32 @@ class TestGenusAudit:
             genus_audit(g, 3, 0)
 
 
+@st.composite
+def relabelled_templates(draw):
+    """A generate() template with its vertices and edges renumbered at random,
+    labelled or not."""
+    m = draw(st.integers(1, 12))
+    g = generate(draw(st.sampled_from(all_classes(m))), m)
+    sigma = draw(st.permutations(range(g.num_vertices)))
+    tau = draw(st.permutations(range(g.num_edges)))
+    edges, eperm, vperm = [None] * g.num_edges, [0] * g.num_edges, [0] * g.num_vertices
+    for j, (u, w) in enumerate(g.edges):
+        edges[tau[j]] = (sigma[u], sigma[w])
+        eperm[tau[j]] = tau[g.eperm[j]]
+    for v in range(g.num_vertices):
+        vperm[sigma[v]] = sigma[g.vperm[v]]
+    label = st.tuples(st.integers(-5, 50), st.integers(-5, 50))
+    labels = draw(st.none() | st.lists(label, min_size=g.num_vertices,
+                                       max_size=g.num_vertices).map(tuple))
+    return ActionGraph(g.num_vertices, edges, vperm, eperm, labels)
+
+
 class TestTextFormat:
+    @settings(deadline=None, max_examples=200)
+    @given(relabelled_templates())
+    def test_format_then_parse_is_the_identity(self, g):
+        assert parse_graph(format_graph(g)) == g
+
     def test_round_trip(self):
         g = generate(TypeB(1, 3, 4), 12)
         parsed = parse_graph(format_graph(g))

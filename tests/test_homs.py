@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chaingroup import braids, homs, oracle
 from chaingroup.braids import BraidWord
@@ -148,7 +148,21 @@ class TestCompose:
             compose_homs(cabling_b3(2), identity_hom(7))
 
 
+@st.composite
+def braid_homs(draw):
+    """Any map B_n -> B_m given by generator images, relations unchecked."""
+    n, m = draw(st.integers(2, 7)), draw(st.integers(2, 9))
+    letter = st.integers(1, m - 1) | st.integers(1 - m, -1)
+    words = st.lists(letter, max_size=12).map(lambda ls: BraidWord(m, ls))
+    return BraidHom(n, m, tuple(draw(st.lists(words, min_size=n - 1, max_size=n - 1))))
+
+
 class TestHomTextFormat:
+    @settings(deadline=None)
+    @given(braid_homs())
+    def test_format_then_parse_is_the_identity(self, h):
+        assert homs.parse_hom(homs.format_hom(h)) == h
+
     def test_round_trip(self):
         h = cabling_b3(2)
         parsed = homs.parse_hom(homs.format_hom(h))

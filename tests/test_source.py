@@ -122,3 +122,22 @@ def test_every_method_is_named_in_the_package():
         and fn.name not in named
     ]
     assert found == []
+
+
+def _writes_stdout(node) -> bool:
+    """A print without file=sys.stderr, or any use of sys.stdout."""
+    if isinstance(node, ast.Attribute) and node.attr in ("stdout", "__stdout__"):
+        return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+        return not any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                       for kw in node.keywords)
+    return False
+
+
+def test_only_the_answer_writer_prints_to_stdout():
+    """Every CLI answer, its trailer and its exit code go out through one
+    function, cli._answer; elsewhere cli.py writes to stderr only."""
+    tree = ast.parse((SOURCE / "cli.py").read_text())
+    writers = {getattr(top, "name", f"line {top.lineno}") for top in tree.body
+               for node in ast.walk(top) if _writes_stdout(node)}
+    assert writers == {"_answer"}
