@@ -64,10 +64,18 @@ def _fields(**fields) -> str:
     return " ".join(out)
 
 
-def _ints(text: str) -> tuple[int, ...]:
+def _int(token: str, source: str) -> int:
+    """An integer token; ValueError names the source and the token."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{source}: {token!r} is not an integer") from None
+
+
+def _ints(text: str, source: str) -> tuple[int, ...]:
     """A comma-separated list of integers. Empty text is the empty list; an
     empty field, as in 4,,4, raises ValueError."""
-    return tuple(int(t) for t in text.split(",")) if text else ()
+    return tuple(_int(t, source) for t in text.split(",")) if text else ()
 
 
 def _blocks(text: str) -> list[str]:
@@ -92,10 +100,10 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _word(n: int, text: str) -> braids.BraidWord:
+def _word(n: int, text: str, source: str) -> braids.BraidWord:
     from . import braids
 
-    return braids.parse_letters(n, (int(t) for t in text.split()))
+    return braids.parse_letters(n, (_int(t, source) for t in text.split()))
 
 
 # ---------------------------------------------------------------- braid ----
@@ -116,13 +124,14 @@ def _cmd_braid(args) -> int:
         body = [braids.format_braid(braids.generator(n, args.k))]
         return _answer(body, check="generator-normalization", n=n, k=args.k)
     if args.op == "exp":
-        return _answer([braids.exponent(_word(n, args.word))], check="sign-sum", n=n)
+        return _answer([braids.exponent(_word(n, args.word, "word"))], check="sign-sum", n=n)
     if args.op == "eq":
-        ok = oracle.are_equal(_word(n, args.words[0]), _word(n, args.words[1]))
+        u, v = (_word(n, text, f"word {k}") for k, text in enumerate(args.words, 1))
+        ok = oracle.are_equal(u, v)
         body = ["equal" if ok else "not-equal"]
         return _verdict(ok, body, check="word-equality", n=n, result=ok)
     if args.op == "central":
-        ok = oracle.is_central(_word(n, args.word))
+        ok = oracle.is_central(_word(n, args.word, "word"))
         body = ["central" if ok else "not-central"]
         return _verdict(ok, body, check="centrality", n=n, result=ok)
     raise AssertionError(args.op)
@@ -140,7 +149,7 @@ def _cmd_hom(args) -> int:
         body = ["homomorphism" if ok else "relation-failed"]
         return _verdict(ok, body, check="generator-relations", n=h.n, m=h.m, result=ok)
     if args.op == "theorem4":
-        h = homs.theorem4_endo(args.n, _word(args.n, args.gamma), args.eps, args.k)
+        h = homs.theorem4_endo(args.n, _word(args.n, args.gamma, "--gamma"), args.eps, args.k)
         return _answer([homs.format_hom(h)], check="conjugated-power-endomorphism", n=args.n,
                        eps=args.eps, k=args.k)
     if args.op == "cable":
@@ -163,7 +172,8 @@ def _parse_elements(text: str) -> list[homology.CentralExtElement]:
     out = []
     for block in _blocks(text):
         lines = [ln for ln in block.splitlines() if ln.strip()]
-        twist = _ints(lines.pop()[6:]) if lines and lines[-1].startswith("twist=") else ()
+        has_twist = lines and lines[-1].startswith("twist=")
+        twist = _ints(lines.pop()[6:], "twist") if has_twist else ()
         out.append(homology.CentralExtElement(homology.parse_matrix("\n".join(lines)), twist))
     return out
 
@@ -302,11 +312,12 @@ def _cmd_rh(args) -> int:
     from . import riemann_hurwitz as rh
 
     if args.op == "check":
-        ok = rh.rh_check(rh.RamificationData(args.chi, args.m, _ints(args.branch), args.chiq))
+        branch = _ints(args.branch, "--branch")
+        ok = rh.rh_check(rh.RamificationData(args.chi, args.m, branch, args.chiq))
         body = ["feasible" if ok else "infeasible"]
         return _verdict(ok, body, check="ramified-covering-equation", result=ok)
     if args.op == "enum":
-        data = rh.rh_enumerate(args.chi, args.m, _ints(args.chiqs))
+        data = rh.rh_enumerate(args.chi, args.m, _ints(args.chiqs, "--chiqs"))
         body = [_fields(count=len(data)), *map(rh.format_rh, data)]
         return _answer(body, check="branch-data-enumeration", chi=args.chi, m=args.m)
     if args.op == "bounds":

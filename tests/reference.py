@@ -8,6 +8,10 @@ is sequence comparison. Words act left-to-right: artin_action(u * v) is
 artin_action(u) followed by artin_action(v). Its words can grow exponentially
 with the braid word.
 
+Commuting a word with every standard generator, one identity check per
+generator, is the reference for chaingroup.oracle.is_central, which decides
+centrality with one check through the centre <Delta^2>.
+
 The dense symplectic form is the reference for chaingroup.homology's
 structured arithmetic: the matrix J built entry by entry, transvections as
 I + eps*outer(c, Jc), and pairing preservation as M^T J M == J. The triple
@@ -61,6 +65,7 @@ from chaingroup import braids, finite, homology, intmat
 from chaingroup.braids import BraidWord
 from chaingroup.homs import BraidHom
 from chaingroup.intmat import Matrix, Vector
+from chaingroup.oracle import is_identity
 
 
 # ------------------------------------------------------- free reduction ----
@@ -144,6 +149,19 @@ def compose(f: FreeAutomorphism, g: FreeAutomorphism) -> FreeAutomorphism:
     if f.n != g.n:
         raise ValueError("rank mismatch")
     return FreeAutomorphism(f.n, tuple(g.apply(w) for w in f.images))
+
+
+# ---------------------------------------------------------- centrality ----
+
+
+def is_central_by_generators(w: BraidWord) -> bool:
+    """True iff the word commutes with every standard generator."""
+    n = w.n
+    for i in range(1, n):
+        t = BraidWord(n, (i,))
+        if not is_identity(w * t * w.inverse() * t.inverse()):
+            return False
+    return True
 
 
 # ---------------------------------------------------- fixture builders ----

@@ -545,6 +545,27 @@ class TestUsageErrors:
         code, _, err = run(capsys, "graph", "classify", "/nonexistent/path.txt")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize(
+        "argv, stdin, message",
+        [(("braid", "eq", "--n", "3", "1,2", "2"), "", "word 1: '1,2'"),
+         (("braid", "eq", "--n", "3", "1", "2 y"), "", "word 2: 'y'"),
+         (("braid", "central", "--n", "3", "x"), "", "word: 'x'"),
+         (("braid", "exp", "--n", "3", "1 x"), "", "word: 'x'"),
+         (("hom", "theorem4", "--n", "4", "--gamma", "1 a"), "", "--gamma: 'a'"),
+         (("rh", "check", "--chi", "-8", "--m", "8", "--branch", "4,x", "--chiq", "0"), "",
+          "--branch: 'x'"),
+         (("rh", "check", "--chi", "-8", "--m", "8", "--branch", "4,,4", "--chiq", "0"), "",
+          "--branch: ''"),
+         (("rh", "enum", "--chi", "-4", "--m", "4", "--chiqs=0,q"), "", "--chiqs: 'q'"),
+         (("homology", "lift", "-"), "rank=2\n1 0\n0 1\ntwist=1,x\n", "twist: 'x'")],
+        ids=["eq-first", "eq-second", "central", "exp", "gamma", "branch", "branch-empty",
+             "chiqs", "twist"],
+    )
+    def test_malformed_integer_names_its_input(self, capsys, monkeypatch, argv, stdin, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message} is not an integer\n")
+
 
 # Prints the chaingroup modules loaded by `import chaingroup.cli` and those a
 # dispatch of the given arguments adds to them.

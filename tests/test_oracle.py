@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 from chaingroup import braids, kernel
 from chaingroup.braids import BraidWord
 from chaingroup.oracle import are_equal, is_central, is_identity, verify_candidate_hom
-from reference import artin_action, compose, free_reduce
+from reference import artin_action, compose, free_reduce, is_central_by_generators
 
 
 def words(n, max_size=10):
@@ -127,6 +128,23 @@ class TestAreEqual:
             are_equal(BraidWord(3, (1,)), BraidWord(4, (1,)))
 
 
+def _centrality_cases(n):
+    """Central words, odd half-twist powers, non-central words whose exponent
+    sum is a multiple of n(n-1), and free random words, on n strands."""
+    half, flip = braids.garside(n), braids.flip_delta(n)
+    pairs = [(i, j) for i in range(1, n) for j in range(1, n) if i != j] or [(1, 1)]
+    conj = words(n)
+    powers = st.integers(-3, 3)
+    central = st.tuples(conj, powers, st.booleans()).map(
+        lambda t: t[0] * (half ** (2 * t[1]) if t[2] else flip ** (n * t[1])) * t[0].inverse()
+    )
+    odd = st.tuples(conj, powers).map(lambda t: t[0] * half ** (2 * t[1] + 1) * t[0].inverse())
+    shifted = st.tuples(conj, powers, st.sampled_from(pairs)).map(
+        lambda t: t[0] * half ** (2 * t[1]) * BraidWord(n, (t[2][0], -t[2][1])) * t[0].inverse()
+    )
+    return st.one_of(central, odd, shifted, words(n, max_size=30))
+
+
 class TestIsCentral:
     def test_half_twist_square_is_central(self):
         assert is_central(braids.garside(6) ** 2)
@@ -136,6 +154,31 @@ class TestIsCentral:
 
     def test_empty_word(self):
         assert is_central(braids.identity(6))
+
+    def test_exponent_multiple_but_not_central(self):
+        w = braids.garside(4) ** 2 * BraidWord(4, (1, -2))
+        assert braids.exponent(w) == 12 and not is_central(w)
+
+    @given(st.integers(2, 8).flatmap(_centrality_cases))
+    def test_agrees_with_the_generator_by_generator_check(self, w):
+        assert is_central(w) == is_central_by_generators(w)
+
+    @given(st.integers(2, 8).flatmap(_centrality_cases))
+    def test_calls_the_kernel_at_most_once(self, w):
+        n = w.n
+        calls = []
+
+        def counting(letters, coords):
+            calls.append(len(letters))
+            return dynnikov(letters, coords)
+
+        dynnikov = kernel.dynnikov
+        with mock.patch.object(kernel, "dynnikov", counting):
+            is_central(w)
+        if n == 2 or braids.exponent(w) % (n * (n - 1)):
+            assert calls == []
+        else:
+            assert len(calls) == 1 and calls[0] <= 2 * len(w)
 
 
 class TestVerifyCandidateHom:
