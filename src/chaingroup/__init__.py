@@ -5,8 +5,12 @@ representations on integral surface homology, explicit braid-to-braid
 homomorphisms, finite abelian quotients via Smith normal form, permutation
 representations, edge-transitive cyclic graph actions, and Riemann-Hurwitz
 feasibility arithmetic. Everything is exact: Python integers only, no
-floating point.
+floating point. The package root holds what the modules share: the Record
+value type, and parse_int and parse_ints, through which every integer of
+outside input is read, so that a malformed one names its field.
 """
+
+from collections.abc import Iterable
 
 
 class Record:
@@ -69,3 +73,16 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def parse_int(token: str, source: str) -> int:
+    """An integer token of outside input; ValueError names the source and the token."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{source}: {token!r} is not an integer") from None
+
+
+def parse_ints(tokens: Iterable[str], source: str) -> tuple[int, ...]:
+    """The integer tokens of one row, line or field, each read by parse_int."""
+    return tuple([parse_int(t, source) for t in tokens])

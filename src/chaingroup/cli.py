@@ -17,6 +17,8 @@ import os
 import sys
 from collections.abc import Iterable, Sequence
 
+from . import parse_int, parse_ints
+
 # Parse-time size caps, each exiting 2. Above them the answers outgrow
 # memory or time: `braid garside --n 1000` prints 499 500 letters in about
 # 0.25 s, and `hom cable --k 64` takes about 0.8 s.
@@ -64,18 +66,10 @@ def _fields(**fields) -> str:
     return " ".join(out)
 
 
-def _int(token: str, source: str) -> int:
-    """An integer token; ValueError names the source and the token."""
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"{source}: {token!r} is not an integer") from None
-
-
 def _ints(text: str, source: str) -> tuple[int, ...]:
     """A comma-separated list of integers. Empty text is the empty list; an
     empty field, as in 4,,4, raises ValueError."""
-    return tuple(_int(t, source) for t in text.split(",")) if text else ()
+    return parse_ints(text.split(","), source) if text else ()
 
 
 def _blocks(text: str) -> list[str]:
@@ -85,12 +79,7 @@ def _blocks(text: str) -> list[str]:
 
 def _budget(default: int) -> int:
     raw = os.environ.get("CHAINGROUP_BUDGET")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"CHAINGROUP_BUDGET must be an integer, got {raw!r}")
+    return default if raw is None else parse_int(raw, "CHAINGROUP_BUDGET")
 
 
 def _read_input(path: str) -> str:
@@ -103,7 +92,7 @@ def _read_input(path: str) -> str:
 def _word(n: int, text: str, source: str) -> braids.BraidWord:
     from . import braids
 
-    return braids.parse_letters(n, (_int(t, source) for t in text.split()))
+    return braids.parse_letters(n, parse_ints(text.split(), source))
 
 
 # ---------------------------------------------------------------- braid ----
@@ -228,7 +217,8 @@ def _cmd_ln(args) -> int:
         lines = [ln.split() for ln in _read_input(args.file).splitlines() if ln.strip()]
         if len(lines) > SNF_MAX_SIDE or any(len(tokens) > SNF_MAX_SIDE for tokens in lines):
             raise ValueError(f"ln snf takes at most {SNF_MAX_SIDE} rows and columns")
-        inv = finite.smith_normal_form([[int(t) for t in tokens] for tokens in lines])
+        inv = finite.smith_normal_form([parse_ints(tokens, f"row {i}")
+                                        for i, tokens in enumerate(lines, 1)])
         body = [_fields(factors=inv.factors), _fields(free_rank=inv.free_rank)]
         return _answer(body, check="invariant-factors")
     p = finite.LnParams(args.r, args.M, args.m, args.d, args.s)

@@ -1,13 +1,13 @@
 """Finite abelian quotients via Smith normal form, and permutation searches.
 
-The quotient family takes r commuting generators and imposes three relation
-shapes: a common torsion order M on each generator, a common order m on each
-difference of two generators, and one aggregate relation making the d-th
-power of the full product equal a power of the first generator. The group is
-computed exactly as Z^r modulo the row lattice of those relations, by one
-Smith normal form pass: Euclid steps clear each pivot's row and column, and
-(a, b) -> (gcd, lcm) turns the diagonal into the invariant factors. Its
-cardinality comes out as (M/m) * d * m^(r-1).
+The quotient family takes r commuting generators e_1..e_r and imposes three
+relation shapes: a common torsion order M on each generator, a common order
+m on each difference of two generators, and one aggregate relation making
+the d-th power of the full product equal the s-th power of the first
+generator. A change of basis reduces the quotient, for every r, to one Smith
+normal form of a 3 x 2 block (see ln_group): Euclid steps clear each
+pivot's row and column, and (a, b) -> (gcd, lcm) turns the diagonal into the
+invariant factors. Its cardinality comes out as (M/m) * d * m^(r-1).
 
 The permutation side finds the tuples of permutations of k symbols that
 satisfy the braid and commutation relations, up to simultaneous conjugacy.
@@ -28,7 +28,6 @@ from operator import itemgetter
 from typing import Sequence
 
 from . import Record
-from .intmat import Matrix, as_matrix
 
 
 class LnParams(Record):
@@ -130,23 +129,8 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> AbelianInvariants:
     return AbelianInvariants(tuple(diag), ncols - len(diag))
 
 
-def ln_params_rows(p: LnParams) -> Matrix:
-    """Relation lattice rows in Z^r for the three relation shapes."""
-    rows: list[list[int]] = []
-    for i in range(p.r):
-        row = [0] * p.r
-        row[i] = p.M
-        rows.append(row)
-    for i in range(1, p.r):
-        row = [0] * p.r
-        row[0], row[i] = -p.m, p.m
-        rows.append(row)
-    rows.append([p.d - p.s] + [p.d] * (p.r - 1))
-    return as_matrix(rows)
-
-
-# Smith normal form of the 2r x r relation rows costs about r^3: at r = 200 it
-# takes about 0.6 s on one core of a 2-core x86-64 machine under Python 3.11.
+# Bounds the length of the answer's factors= field, which lists r factors; the
+# computation is one 3 x 2 Smith normal form for every r.
 LN_MAX_GENERATORS = 200
 
 
@@ -154,8 +138,13 @@ def ln_group(p: LnParams) -> AbelianInvariants:
     """Invariant factors of the quotient; cardinality (M/m) * d * m^(r-1).
 
     Requires validate_params, positive torsion (M > 0) and at most
-    LN_MAX_GENERATORS generators; the cardinality formula is stated for
-    m >= 2 but degrades correctly to the trivial quotient at m = 1.
+    LN_MAX_GENERATORS generators. In the basis f_1 = e_1, f_i = e_i - e_1,
+    then g_2 = f_2 + ... + f_r, the relations span M f_1, m f_i and
+    (dr - s) f_1 + d g_2; the rows M e_i (i >= 2) are redundant as m | M. So
+    the quotient is Z^2/<(M, 0), (0, m), (dr - s, d)> + (Z/m)^(r-2), and the
+    3 x 2 block's invariant factors (a, b), with a | m | b, close the chain
+    (a, m, ..., m, b). The block's 2 x 2 minors Mm, Md, m(dr - s) are where
+    the validity condition M | m(r - s/d) enters: it makes (a, b) = (d, M).
     """
     if not validate_params(p):
         raise ValueError(f"invalid parameters {p}")
@@ -163,9 +152,13 @@ def ln_group(p: LnParams) -> AbelianInvariants:
         raise ValueError("group computation needs positive torsion M > 0")
     if p.r > LN_MAX_GENERATORS:
         raise ValueError(f"quotients take at most {LN_MAX_GENERATORS} generators, got {p.r}")
-    inv = smith_normal_form(ln_params_rows(p))
-    if inv.free_rank != 0:
-        raise RuntimeError(f"quotient for {p} has free rank {inv.free_rank}, expected finite")
+    block = smith_normal_form([[p.M, 0], [0, p.m], [p.d * p.r - p.s, p.d]])
+    if block.free_rank != 0:
+        raise RuntimeError(f"quotient for {p} has free rank {block.free_rank}, expected finite")
+    a, b = block.factors
+    if p.r > 2 and (p.m % a or b % p.m):
+        raise RuntimeError(f"quotient for {p} breaks the chain {a} | {p.m} | {b}")
+    inv = AbelianInvariants((a,) + (p.m,) * (p.r - 2) + (b,), 0)
     expected = (p.M // p.m) * p.d * p.m ** (p.r - 1)
     if inv.cardinality() != expected:
         raise RuntimeError(f"quotient for {p} has order {inv.cardinality()}, expected {expected}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from . import Record, finite
+from . import Record, finite, parse_int, parse_ints
 
 
 class ActionGraph(Record):
@@ -352,7 +352,7 @@ def parse_graph(text: str) -> ActionGraph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("vertices="):
         raise ValueError("graph text must start with vertices=<int>")
-    nv = int(lines[0][9:])
+    nv = parse_int(lines[0][9:], "vertices")
     if nv < 0:
         raise ValueError(f"vertex count must be nonnegative, got {nv}")
     edges: list[tuple[int, int]] = []
@@ -367,18 +367,17 @@ def parse_graph(text: str) -> ActionGraph:
             parts = ln.split()
             if len(parts) != 4:
                 raise ValueError(f"label line must be 'label v genus b', got {ln!r}")
-            _, v, gv, bv = parts
-            if not 0 <= int(v) < nv:
+            v, gv, bv = parse_ints(parts[1:], "label")
+            if not 0 <= v < nv:
                 raise ValueError(f"label vertex {v} out of range 0..{nv - 1}")
-            if int(v) in labels:
+            if v in labels:
                 raise ValueError(f"repeated label line for vertex {v}")
-            labels[int(v)] = (int(gv), int(bv))
+            labels[v] = (gv, bv)
         else:
             parts = ln.split()
             if len(parts) != 2:
                 raise ValueError(f"edge line must be 'u v', got {ln!r}")
-            u, w = parts
-            edges.append((int(u), int(w)))
+            edges.append(parse_ints(parts, "edge"))
     if action_line is None:
         raise ValueError("graph text needs an action line")
     if "vperm=" not in action_line or "eperm=" not in action_line:
@@ -386,15 +385,15 @@ def parse_graph(text: str) -> ActionGraph:
     split_at = action_line.index("eperm=")
     vtext = action_line[: split_at].replace("vperm=", "", 1).strip()
     etext = action_line[split_at + len("eperm="):].strip()
-    vperm = _perm_from_cycles(vtext, nv)
-    eperm = _perm_from_cycles(etext, len(edges))
+    vperm = _perm_from_cycles(vtext, nv, "vperm")
+    eperm = _perm_from_cycles(etext, len(edges), "eperm")
     label_tuple = None
     if labels:
         label_tuple = tuple(labels.get(v, (0, 0)) for v in range(nv))
     return ActionGraph(nv, tuple(edges), vperm, eperm, label_tuple)
 
 
-def _perm_from_cycles(text: str, size: int) -> tuple[int, ...]:
+def _perm_from_cycles(text: str, size: int, source: str) -> tuple[int, ...]:
     img = list(range(size))
     text = text.strip()
     if text in ("()", "id", ""):
@@ -403,7 +402,7 @@ def _perm_from_cycles(text: str, size: int) -> tuple[int, ...]:
         cyc = cyc.strip().strip("()")
         if not cyc:
             continue
-        elems = [int(t) for t in cyc.replace(",", " ").split()]
+        elems = parse_ints(cyc.replace(",", " ").split(), source)
         if any(not 0 <= a < size for a in elems):
             raise ValueError(f"cycle symbol out of range 0..{size - 1}: {text!r}")
         for a, b in zip(elems, elems[1:] + elems[:1]):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from operator import mul, sub
 from typing import Sequence
 
-from . import Record, intmat
+from . import Record, intmat, parse_int, parse_ints
 from .intmat import Matrix, Vector
 
 
@@ -362,12 +362,12 @@ def parse_matrix(text: str) -> Matrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].strip().startswith("rank="):
         raise ValueError("matrix text must start with rank=<int>")
-    r = int(lines[0].strip()[5:])
+    r = parse_int(lines[0].strip()[5:], "rank")
     if r < 1:
         raise ValueError(f"matrix rank must be at least 1, got {r}")
     if len(lines) != r + 1:
         raise ValueError(f"expected {r} matrix rows, got {len(lines) - 1}")
-    rows = [tuple(int(t) for t in ln.split()) for ln in lines[1:]]
+    rows = [parse_ints(ln.split(), f"row {i}") for i, ln in enumerate(lines[1:], 1)]
     if any(len(row) != r for row in rows):
         raise ValueError("matrix rows must have rank entries each")
     return intmat.as_matrix(rows)

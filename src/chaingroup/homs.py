@@ -10,7 +10,7 @@ map sending the half twist of the 3-strand group to the half twist of the
 
 from __future__ import annotations
 
-from . import Record, braids, oracle
+from . import Record, braids, oracle, parse_int, parse_ints
 from .braids import BraidWord
 
 
@@ -144,14 +144,14 @@ def parse_hom(text: str) -> BraidHom:
     header = lines[0].split()
     if len(header) != 2 or not header[0].startswith("n=") or not header[1].startswith("m="):
         raise ValueError("homomorphism text must start with 'n=<int> m=<int>'")
-    n, m = int(header[0][2:]), int(header[1][2:])
+    n, m = parse_int(header[0][2:], "n"), parse_int(header[1][2:], "m")
     images: dict[int, BraidWord] = {}
     for ln in lines[1:]:
         left, _, right = ln.partition(":")
-        i = int(left.strip())
+        i = parse_int(left.strip(), "generator")
         if i in images:
             raise ValueError(f"repeated image line for generator {i}")
-        images[i] = braids.parse_letters(m, (int(t) for t in right.split()))
+        images[i] = braids.parse_letters(m, parse_ints(right.split(), f"image {i}"))
     if set(images) != set(range(1, n)):
         raise ValueError(f"need one image line per generator 1..{n - 1}")
     return BraidHom(n, m, tuple(images[i] for i in range(1, n)))

@@ -38,6 +38,10 @@ W_i = (A_i A_{i+1} A_i)(A_{i+1} A_i A_{i+1})^{-1} with an echelon inverse,
 requires its matrix part to be the identity, and multiplies A_i by
 W_1 ... W_{i-1}.
 
+The 2r x r relation rows of the abelian quotient L(r, M, m, d, s), one row
+per relation on Z^r, are the reference for chaingroup.finite.ln_group, which
+reduces them by a change of basis to one 3 x 2 block.
+
 The restarting Smith normal form is the reference for
 chaingroup.finite.smith_normal_form: it pivots on the least entry of the
 whole remaining block, restarts whenever a reduction leaves a remainder, and
@@ -495,6 +499,24 @@ def lift_adjust_by_inverses(
         if a * b * a != b * a * b:
             raise RuntimeError(f"adjustment left a braid defect at position {i + 1}")
     return out
+
+
+# ---------------------------------------------------- abelian quotient ----
+
+
+def ln_params_rows(p: finite.LnParams) -> Matrix:
+    """Relation lattice rows in Z^r for the three relation shapes."""
+    rows: list[list[int]] = []
+    for i in range(p.r):
+        row = [0] * p.r
+        row[i] = p.M
+        rows.append(row)
+    for i in range(1, p.r):
+        row = [0] * p.r
+        row[0], row[i] = -p.m, p.m
+        rows.append(row)
+    rows.append([p.d - p.s] + [p.d] * (p.r - 1))
+    return intmat.as_matrix(rows)
 
 
 # ------------------------------------------------- Smith normal form ----

@@ -336,6 +336,11 @@ class TestPermCommand:
 class TestBudgetEdges:
     """CHAINGROUP_BUDGET at and beyond the ends of its range."""
 
+    def test_malformed_budget_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("CHAINGROUP_BUDGET", "x")
+        code, out, err = run(capsys, "perm", "enum", "--n", "4", "--k", "3")
+        assert (code, out, err) == (2, "", "error: CHAINGROUP_BUDGET: 'x' is not an integer\n")
+
     @pytest.mark.parametrize(
         "budget, expected",
         [("-1", 2), ("0", 2), (str(10**20), 0)],
@@ -557,9 +562,24 @@ class TestUsageErrors:
          (("rh", "check", "--chi", "-8", "--m", "8", "--branch", "4,,4", "--chiq", "0"), "",
           "--branch: ''"),
          (("rh", "enum", "--chi", "-4", "--m", "4", "--chiqs=0,q"), "", "--chiqs: 'q'"),
-         (("homology", "lift", "-"), "rank=2\n1 0\n0 1\ntwist=1,x\n", "twist: 'x'")],
+         (("homology", "lift", "-"), "rank=2\n1 0\n0 1\ntwist=1,x\n", "twist: 'x'"),
+         (("ln", "snf", "-"), "1 x\n", "row 1: 'x'"),
+         (("ln", "snf", "-"), "1 2\n\n3 4.0\n", "row 2: '4.0'"),
+         (("homology", "lift", "-"), "rank=2\n1 x\n0 1\n", "row 1: 'x'"),
+         (("homology", "extract", "-"), "rank=two\n", "rank: 'two'"),
+         (("hom", "verify", "-"), "n=3 m=3\n1 : 1 x\n2 : 2\n", "image 1: 'x'"),
+         (("hom", "cyclic", "-"), "n=3 m=y\n1 : 1\n2 : 2\n", "m: 'y'"),
+         (("hom", "verify", "-"), "n=3 m=3\none : 1\n", "generator: 'one'"),
+         (("graph", "classify", "-"), "vertices=1\n0 z\naction vperm=() eperm=()\n",
+          "edge: 'z'"),
+         (("graph", "audit", "-", "--genus", "2", "--b", "0"),
+          "vertices=1\n0 0\nlabel 0 g 0\naction vperm=() eperm=()\n", "label: 'g'"),
+         (("graph", "classify", "-"), "vertices=2\n0 1\naction vperm=(0 q) eperm=()\n",
+          "vperm: 'q'")],
         ids=["eq-first", "eq-second", "central", "exp", "gamma", "branch", "branch-empty",
-             "chiqs", "twist"],
+             "chiqs", "twist", "snf", "snf-blank-line", "matrix-row", "matrix-rank",
+             "hom-image", "hom-header", "hom-generator", "graph-edge", "graph-label",
+             "graph-cycles"],
     )
     def test_malformed_integer_names_its_input(self, capsys, monkeypatch, argv, stdin, message):
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
@@ -591,14 +611,16 @@ _LIFTS = "rank=2\n1 1\n0 1\ntwist=0\n\nrank=2\n1 0\n-1 1\ntwist=3\n"
     [
         ((), [], ""),
         (("braid", "eq", "--n", "3", "1 2 1", "2 1 2"), ["braids", "kernel", "oracle"], ""),
-        (("perm", "enum", "--n", "5", "--k", "5", "--summary"), ["finite", "intmat"], ""),
+        (("perm", "enum", "--n", "5", "--k", "5", "--summary"), ["finite"], ""),
+        (("ln", "card", "--r", "3", "--M", "3", "--m", "3", "--d", "3", "--s", "9"), ["finite"],
+         ""),
         (("rh", "bounds", "--genus", "2", "--b", "0"), ["riemann_hurwitz"], ""),
         (("suite", "rh"), ["riemann_hurwitz", "suites"], ""),
-        (("suite", "perm"), ["finite", "intmat", "suites"], ""),
+        (("suite", "perm"), ["finite", "suites"], ""),
         (("homology", "rep", "--genus", "2", "--k", "3"), ["homology", "intmat"], ""),
         (("homology", "lift", "-"), ["finite", "homology", "intmat"], _LIFTS),
     ],
-    ids=["import", "braid-eq", "perm-enum", "rh-bounds", "suite-rh", "suite-perm",
+    ids=["import", "braid-eq", "perm-enum", "ln-card", "rh-bounds", "suite-rh", "suite-perm",
          "homology-rep", "homology-lift"],
 )
 def test_subcommand_imports_only_its_modules(argv, added, stdin):

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from chaingroup import finite
 from chaingroup.finite import (
     AbelianInvariants,
     LnParams,
@@ -24,7 +25,7 @@ from chaingroup.suites import (
     noncyclic_exists,
     random_quotients_ok,
 )
-from reference import enum_perm_reps_by_tables, smith_normal_form_restarting
+from reference import enum_perm_reps_by_tables, ln_params_rows, smith_normal_form_restarting
 
 
 class TestSmithNormalForm:
@@ -133,8 +134,37 @@ class TestLnGroup:
         assert random_quotients_ok(6)
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^invalid parameters LnParams\(r=3, M=4, "):
             ln_group(LnParams(3, 4, 3, 3, 3))
+
+    def test_zero_torsion_rejected(self):
+        with pytest.raises(ValueError, match="^group computation needs positive torsion M > 0$"):
+            ln_group(LnParams(3, 0, 0, 0, 0))
+
+    @given(st.data())
+    def test_same_factors_as_the_relation_rows(self, data):
+        """Valid parameters on 2-40 generators: m = d*q, s = m*t and M = m*u
+        with u | r - q*t, which is M | (r - s/d)*m."""
+        r, d = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 6))
+        q, t = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 12))
+        n = abs(r - q * t)
+        u = data.draw(st.sampled_from([u for u in range(1, 7) if n % u == 0]))
+        p = LnParams(r, d * q * u, d * q, d, d * q * t)
+        assert validate_params(p)
+        assert ln_group(p).factors == smith_normal_form(ln_params_rows(p)).factors
+
+    @pytest.mark.parametrize("p", [LnParams(2, 6, 3, 1, 0), LnParams(3, 3, 3, 3, 9),
+                                   LnParams(200, 12, 6, 3, 0)], ids=["r2", "r3", "r200"])
+    def test_one_smith_normal_form_of_a_3_by_2_block(self, monkeypatch, p):
+        shapes = []
+
+        def counted(rows):
+            shapes.append((len(rows), len(rows[0])))
+            return smith_normal_form(rows)
+
+        monkeypatch.setattr(finite, "smith_normal_form", counted)
+        ln_group(p)
+        assert shapes == [(3, 2)]
 
 
 class TestEnumPermReps:
