@@ -6,11 +6,13 @@ homomorphisms, finite abelian quotients via Smith normal form, permutation
 representations, edge-transitive cyclic graph actions, and Riemann-Hurwitz
 feasibility arithmetic. Everything is exact: Python integers only, no
 floating point. The package root holds what the modules share: the Record
-value type, and parse_int and parse_ints, through which every integer of
-outside input is read, so that a malformed one names its field.
+value type; parse_int and parse_ints, through which every integer of
+outside input is read, so that a malformed one names its field; and the
+cycles of a permutation, which the permutation search and the graph
+actions both read, so that graph calls do not load chaingroup.finite.
 """
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 
 class Record:
@@ -86,3 +88,20 @@ def parse_int(token: str, source: str) -> int:
 def parse_ints(tokens: Iterable[str], source: str) -> tuple[int, ...]:
     """The integer tokens of one row, line or field, each read by parse_int."""
     return tuple([parse_int(t, source) for t in tokens])
+
+
+def cycles(p: Sequence[int]) -> list[tuple[int, ...]]:
+    """The cycles of p, fixed points included, each starting at its least
+    element and listed in order of that element."""
+    seen = [False] * len(p)
+    out = []
+    for start in range(len(p)):
+        cyc = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cyc.append(x)
+            x = p[x]
+        if cyc:
+            out.append(tuple(cyc))
+    return out

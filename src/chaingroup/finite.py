@@ -14,10 +14,13 @@ satisfy the braid and commutation relations, up to simultaneous conjugacy.
 Images joined by a braid relation are conjugate, so all images of a tuple
 share one cycle type, and every tuple is conjugate to one whose first image
 is the least permutation x of that type. A depth-first search finds only
-those, computing braid partners for the images it reaches. Conjugation by c
-maps the tuples starting at x one-to-one onto those starting at c x c^-1, so
-the total is the sum over cycle types of |class(x)| times the number found
-from x; the full list is built only when it is printed.
+those. It scans the class once, for the braid partners of x and the members
+commuting with x, and gets those of every other image c x c^-1 it reaches
+by conjugating with c, as braiding and commuting are conjugation-invariant.
+Conjugation by c also maps the tuples starting at x one-to-one onto those
+starting at c x c^-1, so the total is the sum over cycle types of
+|class(x)| times the number found from x; the full list is built only when
+it is printed.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 from operator import itemgetter
 from typing import Sequence
 
-from . import Record
+from . import Record, cycles
 
 
 class LnParams(Record):
@@ -216,44 +219,50 @@ def _conjugacy_classes(k: int) -> list[list[tuple[int, ...]]]:
 def _chains_from(
     members: list[tuple[int, ...]], length: int
 ) -> list[tuple[tuple[int, ...], ...]]:
-    """Every chain of `length` images whose first image is members[0], in
+    """Every chain of `length` images whose first image is x = members[0], in
     lexicographic order.
 
-    Depth-first search on an explicit stack: a chain grows in place, each
-    image must braid with its predecessor and commute with the distinct
-    images two or more steps back, kept as a multiset. Braid partners are
-    computed from the class only for the images the search reaches.
+    Depth-first search on an explicit stack: a chain grows in place, and
+    each image must braid with its predecessor and commute with every image
+    two or more steps back, that is, lie in the intersection of their
+    commuting sets. The class is scanned once, for the braid partners of x
+    and the members commuting with x. For an image a = c x c^-1 the search
+    reaches, with c = _conjugator(x, a), those of a are the conjugates by c
+    of those of x: b braids (commutes) with a exactly when c^-1 b c braids
+    (commutes) with x. Partners are sorted, so chains come out in
+    lexicographic order.
     """
-    partners: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    x = members[0]
+    x_partners = [b for b in members if _braids(x, b)]
+    x_commuting = [b for b in members if _pmul(x, b) == _pmul(b, x)]
+    tables = {x: (x_partners, set(x_commuting))}
 
-    def braid_partners(a: tuple[int, ...]) -> list[tuple[int, ...]]:
-        if a not in partners:
-            partners[a] = [b for b in members if _braids(a, b)]
-        return partners[a]
+    def table(a: tuple[int, ...]) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
+        """The sorted braid partners of a, and the members commuting with a."""
+        if a not in tables:
+            c = _conjugator(x, a)
+            tables[a] = (sorted(_conjugate(x_partners, c)), set(_conjugate(x_commuting, c)))
+        return tables[a]
 
     found = []
-    chain = [members[0]]
-    earlier: dict[tuple[int, ...], int] = {}  # multiset of chain[:-1]
-    stack = [iter(braid_partners(chain[0]))]  # stack[d] yields candidates for chain[d + 1]
+    chain = [x]
+    stack = [iter(x_partners)]  # stack[d] yields candidates for chain[d + 1] ...
+    allowed = [set(members)]  # ... which must lie in allowed[d]
     while stack:
         b = next(stack[-1], None)
         if b is None:
             stack.pop()
+            allowed.pop()
             chain.pop()
-            if chain:
-                a = chain[-1]
-                earlier[a] -= 1
-                if not earlier[a]:
-                    del earlier[a]
             continue
-        if any(_pmul(b, c) != _pmul(c, b) for c in earlier):
+        if b not in allowed[-1]:
             continue
         if len(chain) == length - 1:
             found.append((*chain, b))
             continue
-        earlier[chain[-1]] = earlier.get(chain[-1], 0) + 1
+        allowed.append(allowed[-1] & table(chain[-1])[1])
         chain.append(b)
-        stack.append(iter(braid_partners(b)))
+        stack.append(iter(table(b)[0]))
     return found
 
 
@@ -350,23 +359,6 @@ def _conjugator(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
         for i, j in zip(cx, cy):
             c[i] = j
     return tuple(c)
-
-
-def cycles(p: Sequence[int]) -> list[tuple[int, ...]]:
-    """The cycles of p, fixed points included, each starting at its least
-    element and listed in order of that element."""
-    seen = [False] * len(p)
-    out = []
-    for start in range(len(p)):
-        cyc = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            cyc.append(x)
-            x = p[x]
-        if cyc:
-            out.append(tuple(cyc))
-    return out
 
 
 def _inv(p: tuple[int, ...]) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from . import Record, finite, parse_int, parse_ints
+from . import Record, cycles, parse_int, parse_ints
 
 
 class ActionGraph(Record):
@@ -84,7 +84,7 @@ class ActionGraph(Record):
         return len(seen) == self.num_vertices
 
     def is_edge_transitive(self) -> bool:
-        return len(finite.cycles(self.eperm)) == 1
+        return len(cycles(self.eperm)) == 1
 
 
 class TypeA(Record):
@@ -162,15 +162,15 @@ def classify(g: ActionGraph) -> GraphClass:
     if not g.is_edge_transitive():
         raise ValueError("the action is not transitive on edges")
     m = g.num_edges
-    cycles = finite.cycles(g.vperm)
+    vcycles = cycles(g.vperm)
     cycle_of = {}
-    for idx, cyc in enumerate(cycles):
+    for idx, cyc in enumerate(vcycles):
         for x in cyc:
             cycle_of[x] = idx
     u0, w0 = g.edges[0]
     mult = sum(1 for e in g.edges if e == g.edges[0])
     if cycle_of[u0] == cycle_of[w0]:
-        cyc = cycles[cycle_of[u0]]
+        cyc = vcycles[cycle_of[u0]]
         k = len(cyc)
         pos = {x: i for i, x in enumerate(cyc)}
         if k == 1:
@@ -178,7 +178,7 @@ def classify(g: ActionGraph) -> GraphClass:
         p_raw = (pos[w0] - pos[u0]) % k
         p = min(p_raw, k - p_raw) if k > 2 else 1
         return TypeA(k, p, mult)
-    k, l = sorted((len(cycles[cycle_of[u0]]), len(cycles[cycle_of[w0]])))
+    k, l = sorted((len(vcycles[cycle_of[u0]]), len(vcycles[cycle_of[w0]])))
     return TypeB(k, l, mult)
 
 
@@ -189,10 +189,13 @@ def _encodings(g: ActionGraph) -> Iterator[tuple]:
     rotates edge labels; vertex names are then forced up to the order choice
     when both endpoints of an edge are new. Enumerating every rotation and
     every such order choice yields the full encoding orbit, whose minimum is
-    a canonical key.
+    a canonical key. The action (vperm, eperm) is itself an isomorphism of
+    the pair: it maps the encodings of the rotation starting at edge r one
+    to one onto those of the rotation starting at eperm[r]. So one starting
+    edge per cycle of eperm yields every encoding of the orbit.
     """
     m = g.num_edges
-    for r in range(m):
+    for r in [cyc[0] for cyc in cycles(g.eperm)]:
         order = []
         j = r
         for _ in range(m):
@@ -424,5 +427,5 @@ def format_graph(g: ActionGraph) -> str:
 
 
 def _cycles_str(perm: Sequence[int]) -> str:
-    parts = ["(" + " ".join(map(str, c)) + ")" for c in finite.cycles(perm) if len(c) > 1]
+    parts = ["(" + " ".join(map(str, c)) + ")" for c in cycles(perm) if len(c) > 1]
     return "".join(parts) or "()"

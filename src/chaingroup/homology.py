@@ -357,17 +357,20 @@ def lift_adjust(lifts: Sequence[CentralExtElement]) -> list[CentralExtElement]:
     return out
 
 
-def parse_matrix(text: str) -> Matrix:
-    """Parse the text format: rank=<int>, then rank rows of rank integers."""
+def parse_matrix(text: str, source: str = "matrix") -> Matrix:
+    """Parse the text format: rank=<int>, then rank rows of rank integers.
+
+    A malformed integer is reported as in `<source>, row 2`, so that the
+    caller can name which of several matrices holds it."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].strip().startswith("rank="):
         raise ValueError("matrix text must start with rank=<int>")
-    r = parse_int(lines[0].strip()[5:], "rank")
+    r = parse_int(lines[0].strip()[5:], f"{source}, rank")
     if r < 1:
         raise ValueError(f"matrix rank must be at least 1, got {r}")
     if len(lines) != r + 1:
         raise ValueError(f"expected {r} matrix rows, got {len(lines) - 1}")
-    rows = [parse_ints(ln.split(), f"row {i}") for i, ln in enumerate(lines[1:], 1)]
+    rows = [parse_ints(ln.split(), f"{source}, row {i}") for i, ln in enumerate(lines[1:], 1)]
     if any(len(row) != r for row in rows):
         raise ValueError("matrix rows must have rank entries each")
     return intmat.as_matrix(rows)

@@ -50,7 +50,14 @@ adds a row whenever the pivot fails to divide the rest of the block.
 The pair-table permutation search is the reference for
 chaingroup.finite's search up to conjugacy: it tabulates, for every
 permutation of k symbols, its braid partners and the permutations it
-commutes with, and walks all tuples over those tables.
+commutes with, and walks all tuples over those tables. The scanning chain
+search is the reference for finite._chains_from, which scans a class once
+and conjugates: it scans the whole class for the braid partners of every
+image it reaches, and composes to test each commutation.
+
+The all-rotations canonical key is the reference for
+chaingroup.graphs.canonical_key, which starts one rotation per cycle of the
+edge permutation: it starts one at every edge.
 
 Not a test module: pytest does not collect it, the test modules import it.
 """
@@ -65,7 +72,7 @@ from functools import reduce
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from chaingroup import braids, finite, homology, intmat
+from chaingroup import braids, finite, graphs, homology, intmat
 from chaingroup.braids import BraidWord
 from chaingroup.homs import BraidHom
 from chaingroup.intmat import Matrix, Vector
@@ -666,3 +673,75 @@ def enum_perm_reps_by_tables(
             ci = tuple(sorted(range(k), key=c.__getitem__))
             seen.add(tuple(_compose(_compose(ci, g), c) for g in images))
     return out
+
+
+def _braid(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return _compose(_compose(a, b), a) == _compose(_compose(b, a), b)
+
+
+def chains_from_by_scanning(
+    members: list[tuple[int, ...]], length: int
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Every chain of `length` images of one class whose first image is
+    members[0], in lexicographic order: depth-first, each image braiding
+    with its predecessor and commuting with every image two or more steps
+    back, braid partners found by scanning the class."""
+    partners: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+
+    def braid_partners(a: tuple[int, ...]) -> list[tuple[int, ...]]:
+        if a not in partners:
+            partners[a] = [b for b in members if _braid(a, b)]
+        return partners[a]
+
+    found = []
+
+    def extend(chain: list[tuple[int, ...]]) -> None:
+        if len(chain) == length:
+            found.append(tuple(chain))
+            return
+        for b in braid_partners(chain[-1]):
+            if all(_compose(b, c) == _compose(c, b) for c in chain[:-1]):
+                extend(chain + [b])
+
+    extend([members[0]])
+    return found
+
+
+# ------------------------------------------------ graph canonical key ----
+
+
+def _encodings_from(g: graphs.ActionGraph, r: int) -> Iterator[tuple]:
+    """The encodings of the pair (graph, action) that walk the edges from
+    edge r along eperm, naming vertices in order of first appearance, with
+    both orders tried when an edge brings two new vertices."""
+    m, order, j = g.num_edges, [], r
+    for _ in range(m):
+        order.append(g.edges[j])
+        j = g.eperm[j]
+
+    def rec(idx: int, names: dict[int, int], acc: list[tuple[int, int]]):
+        if idx == m:
+            if len(names) == g.num_vertices:
+                vperm = [0] * g.num_vertices
+                for orig, new in names.items():
+                    vperm[new] = names[g.vperm[orig]]
+                yield (g.num_vertices, tuple(acc), tuple(vperm))
+            return
+        u, w = order[idx]
+        orders = [(u, w)] if (u == w or u in names or w in names) else [(u, w), (w, u)]
+        for a, b in orders:
+            added = [x for x in dict.fromkeys((a, b)) if x not in names]
+            for x in added:
+                names[x] = len(names)
+            acc.append(tuple(sorted((names[u], names[w]))))
+            yield from rec(idx + 1, names, acc)
+            acc.pop()
+            for x in added:
+                del names[x]
+
+    yield from rec(0, {}, [])
+
+
+def canonical_key_all_rotations(g: graphs.ActionGraph) -> tuple:
+    """The least encoding over walks from every edge."""
+    return min(e for r in range(g.num_edges) for e in _encodings_from(g, r))

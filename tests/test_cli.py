@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import chaingroup
-from chaingroup import cli, graphs, homology, homs, intmat, suites
+from chaingroup import graphs, homology, homs, intmat, suites
 from chaingroup.cli import dispatch
+from chaingroup.commands import braid as braid_cmd, graph as graph_cmd, hom as hom_cmd
+from chaingroup.commands import homology as homology_cmd, ln as ln_cmd, perm as perm_cmd
 from chaingroup.homology import (
     CurveClass,
     build_chain,
@@ -61,16 +63,17 @@ class TestBraidCommands:
          ("central", ("1",)), ("exp", ("1",))],
     )
     def test_strand_count_above_the_cap_is_usage_error(self, capsys, op, rest):
-        n = cli.BRAID_MAX_STRANDS + 1
+        n = braid_cmd.BRAID_MAX_STRANDS + 1
         with pytest.raises(SystemExit) as exc:
             dispatch(["braid", op, "--n", str(n), *rest])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"argument --n: at most {cli.BRAID_MAX_STRANDS} allowed, got {n}" in captured.err
+        cap = braid_cmd.BRAID_MAX_STRANDS
+        assert f"argument --n: at most {cap} allowed, got {n}" in captured.err
 
     def test_strand_count_at_the_cap(self, capsys):
-        n = cli.BRAID_MAX_STRANDS
+        n = braid_cmd.BRAID_MAX_STRANDS
         code, out, _ = run(capsys, "braid", "delta", "--n", str(n))
         assert code == 0
         assert out.splitlines()[-1] == f"check=index-shift-word n={n} exponent={n - 1}"
@@ -106,11 +109,11 @@ class TestHomCommands:
         assert (code, out, err) == (2, "", "error: repeated image line for generator 1\n")
 
     def test_cable_width_above_the_cap_is_usage_error(self, capsys):
-        k = cli.CABLE_MAX_WIDTH + 1
+        k = hom_cmd.CABLE_MAX_WIDTH + 1
         with pytest.raises(SystemExit) as exc:
             dispatch(["hom", "cable", "--k", str(k)])
         assert exc.value.code == 2
-        assert f"argument --k: at most {cli.CABLE_MAX_WIDTH} allowed, got {k}" in (
+        assert f"argument --k: at most {hom_cmd.CABLE_MAX_WIDTH} allowed, got {k}" in (
             capsys.readouterr().err
         )
 
@@ -132,9 +135,9 @@ class TestHomCommands:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--n", cli.THEOREM4_MAX_STRANDS + 1, f"at most {cli.THEOREM4_MAX_STRANDS}"),
-            ("--k", cli.THEOREM4_MAX_TWIST + 1, f"at most {cli.THEOREM4_MAX_TWIST}"),
-            ("--k", -cli.THEOREM4_MAX_TWIST - 1, f"at least {-cli.THEOREM4_MAX_TWIST}"),
+            ("--n", hom_cmd.THEOREM4_MAX_STRANDS + 1, f"at most {hom_cmd.THEOREM4_MAX_STRANDS}"),
+            ("--k", hom_cmd.THEOREM4_MAX_TWIST + 1, f"at most {hom_cmd.THEOREM4_MAX_TWIST}"),
+            ("--k", -hom_cmd.THEOREM4_MAX_TWIST - 1, f"at least {-hom_cmd.THEOREM4_MAX_TWIST}"),
         ],
         ids=["strands", "twist", "negative-twist"],
     )
@@ -145,7 +148,7 @@ class TestHomCommands:
         assert f"argument {flag}: {message} allowed, got {value}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "n, k", [(cli.THEOREM4_MAX_STRANDS, 0), (6, -cli.THEOREM4_MAX_TWIST)]
+        "n, k", [(hom_cmd.THEOREM4_MAX_STRANDS, 0), (6, -hom_cmd.THEOREM4_MAX_TWIST)]
     )
     def test_theorem4_at_the_caps(self, capsys, n, k):
         code, out, _ = run(capsys, "hom", "theorem4", "--n", str(n), "--k", str(k))
@@ -171,17 +174,17 @@ class TestHomologyCommands:
 
     @pytest.mark.parametrize("op", ["chain", "rep", "square"])
     def test_genus_above_the_cap_is_usage_error(self, capsys, op):
-        g = cli.HOMOLOGY_MAX_GENUS + 1
+        g = homology_cmd.HOMOLOGY_MAX_GENUS + 1
         with pytest.raises(SystemExit) as exc:
             dispatch(["homology", op, "--genus", str(g), "--k", "3"])
         assert exc.value.code == 2
-        assert f"argument --genus: at most {cli.HOMOLOGY_MAX_GENUS} allowed, got {g}" in (
+        assert f"argument --genus: at most {homology_cmd.HOMOLOGY_MAX_GENUS} allowed, got {g}" in (
             capsys.readouterr().err
         )
 
     @pytest.mark.parametrize("op", ["chain", "rep", "square"])
     def test_genus_at_the_cap(self, capsys, op):
-        g = cli.HOMOLOGY_MAX_GENUS
+        g = homology_cmd.HOMOLOGY_MAX_GENUS
         code, out, _ = run(capsys, "homology", op, "--genus", str(g), "--k", "3")
         assert code == 0 and f" genus={g} k=3" in out.splitlines()[-1]
 
@@ -291,10 +294,10 @@ class TestLnCommands:
         monkeypatch.setattr("chaingroup.finite.smith_normal_form", None)
         code, out, err = run(capsys, "ln", "snf", "-")
         assert (code, out) == (2, "")
-        assert err == f"error: ln snf takes at most {cli.SNF_MAX_SIDE} rows and columns\n"
+        assert err == f"error: ln snf takes at most {ln_cmd.SNF_MAX_SIDE} rows and columns\n"
 
     def test_snf_at_the_size_cap(self, capsys, monkeypatch):
-        side = cli.SNF_MAX_SIDE
+        side = ln_cmd.SNF_MAX_SIDE
         rows = [" ".join("2" if i == j else "0" for j in range(side)) for i in range(side)]
         monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(rows)))
         code, out, _ = run(capsys, "ln", "snf", "-")
@@ -319,11 +322,11 @@ class TestPermCommand:
         assert out.splitlines()[0] == "count=720 cyclic=720 noncyclic=0"
 
     def test_strands_above_the_cap_is_usage_error(self, capsys):
-        n = cli.PERM_MAX_STRANDS + 1
+        n = perm_cmd.PERM_MAX_STRANDS + 1
         with pytest.raises(SystemExit) as exc:
             dispatch(["perm", "enum", "--n", str(n), "--k", "2", "--summary"])
         assert exc.value.code == 2
-        assert f"argument --n: at most {cli.PERM_MAX_STRANDS} allowed, got {n}" in (
+        assert f"argument --n: at most {perm_cmd.PERM_MAX_STRANDS} allowed, got {n}" in (
             capsys.readouterr().err
         )
 
@@ -331,6 +334,20 @@ class TestPermCommand:
         monkeypatch.setenv("CHAINGROUP_BUDGET", "2")
         code, _, err = run(capsys, "perm", "enum", "--n", "4", "--k", "3")
         assert code == 2 and "budget" in err
+
+    # sha256 of the full stdout of `chaingroup perm enum --n 4 --k 4 [--dedup]`,
+    # pinning the listing's order as well as its content
+    ENUM_DIGESTS = {
+        (): "f0a9d4498f449236e61f6793201c573f7b902f0d0a09c75938530ac8adffd5eb",
+        ("--dedup",): "77eda869b62c0a8adb65a57b9bfb2f5a6ece353187286a061e0e08e31dc0cb86",
+    }
+
+    @pytest.mark.parametrize("flags", sorted(ENUM_DIGESTS), ids=["listing", "dedup"])
+    def test_listing_output_pinned(self, capsys, monkeypatch, flags):
+        monkeypatch.delenv("CHAINGROUP_BUDGET", raising=False)
+        code, out, _ = run(capsys, "perm", "enum", "--n", "4", "--k", "4", *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.ENUM_DIGESTS[flags]
 
 
 class TestBudgetEdges:
@@ -371,6 +388,30 @@ class TestBudgetEdges:
 
 
 class TestGraphCommands:
+    # sha256 of the full stdout of `CHAINGROUP_BUDGET=12 chaingroup graph brute --m M`,
+    # pinning the classes found and their order, which the canonical key sets
+    BRUTE_DIGESTS = {
+        1: "b8396607dc02ff0e63430d8ed85aa0023cc0c721a3a05dcb5940342647a52895",
+        2: "6bdaa580096ededee929bfc673f9066c5bdbc6367ed331ff5a0d3cbb7da3b104",
+        3: "8220645b9c197367a04e6107fba14823ab0594830a782a36012e2b43f91b6d61",
+        4: "ece5812313aabd85b38d55eee7a7e93fe841d82bcf7fbf8eb39416467217578d",
+        5: "1dc8f425a0344c623b842cc899d73651c7fc26ad129eab63c48037188b354eee",
+        6: "db72b988aa536f75bba3fdb25569c531b315bb603e2a55ca680f78a5d1f93b78",
+        7: "84258c762865d2ecd2cb585dd0c114f7d70432ad14f88139e36b6c62fd85a2c1",
+        8: "59581cb939a9194fc244caa19cae5e77825f3596c11f6d7fada0b573083ccc8b",
+        9: "3f9209bac3cbcf7e352fcd08d2e84115b46aee98d8197c8fcf2ab53f4c15180f",
+        10: "d7d7e76403e41b0628741df6b6f5d4121d0dc031023c94f6c6231f26db35eec3",
+        11: "c35602dae574ea59115113bd832eefb1533a9fd31436b889390e1c2f2738a8db",
+        12: "a37a4dfed736e77140b2edac5d481875195507fe27d18fa4488999d9714df34a",
+    }
+
+    @pytest.mark.parametrize("m", sorted(BRUTE_DIGESTS))
+    def test_brute_output_pinned(self, capsys, monkeypatch, m):
+        monkeypatch.setenv("CHAINGROUP_BUDGET", "12")
+        code, out, _ = run(capsys, "graph", "brute", "--m", str(m))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.BRUTE_DIGESTS[m]
+
     def test_generate_classify_round_trip(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "graph", "generate", "--type", "B", "--k", "1", "--l", "3",
@@ -412,17 +453,17 @@ class TestGraphCommands:
         assert code == 2 and message in err
 
     def test_generate_edges_above_the_cap_is_usage_error(self, capsys):
-        m = cli.GRAPH_MAX_EDGES + 1
+        m = graph_cmd.GRAPH_MAX_EDGES + 1
         with pytest.raises(SystemExit) as exc:
             dispatch(["graph", "generate", "--type", "A", "--k", "2", "--p", "1", "--d", str(m),
                       "--m", str(m)])
         assert exc.value.code == 2
-        assert f"argument --m: at most {cli.GRAPH_MAX_EDGES} allowed, got {m}" in (
+        assert f"argument --m: at most {graph_cmd.GRAPH_MAX_EDGES} allowed, got {m}" in (
             capsys.readouterr().err
         )
 
     def test_generate_edges_at_the_cap(self, capsys):
-        m = cli.GRAPH_MAX_EDGES
+        m = graph_cmd.GRAPH_MAX_EDGES
         code, out, _ = run(capsys, "graph", "generate", "--type", "A", "--k", "2", "--p", "1",
                            "--d", str(m), "--m", str(m))
         assert code == 0 and out.splitlines()[-1] == f"check=template-construction m={m}"
@@ -506,16 +547,27 @@ class TestRhCommands:
 
 
 class TestSuites:
+    # sha256 of the full stdout of `chaingroup suite NAME` at the default budget
+    SUITE_DIGESTS = {
+        "identities": "8a2e44ccad4c2ed0dfa6b9d33e2c1eab82656473dc1d7baa1f4f752eaaad4946",
+        "table1": "94d1de9f4c98447e4377a5c01e9fb4e5cfed822a6f0c8c6f25a710749c266a3e",
+        "graphs": "457ba767e3aba54a7ef86536b8bcd5b19b8fedae95a7909edabbcd49cd04bf1e",
+        "perm": "7748c9fd58a4f5e7ca86b93c02ac40cef60740518c6f008f3dc2a853c02b5394",
+        "rh": "ba225aed8e703c6018dd6063e70c9eba560db98120398640fae84ff5359abf24",
+    }
+
     @pytest.mark.parametrize(
         "name, items",
         [("identities", 24), ("table1", 8), ("graphs", 13), ("perm", 11), ("rh", 7)],
         ids=["identities", "table1", "graphs", "perm", "rh"],
     )
-    def test_suite_passes(self, capsys, name, items):
+    def test_suite_passes(self, capsys, monkeypatch, name, items):
+        monkeypatch.delenv("CHAINGROUP_BUDGET", raising=False)
         code, out, _ = run(capsys, "suite", name)
         assert code == 0
         assert "[FAIL]" not in out
         assert out.splitlines()[-1] == f"suite={name} items={items} failed=0"
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SUITE_DIGESTS[name]
 
     def test_graphs_skips_coverage_above_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("CHAINGROUP_BUDGET", "1")
@@ -562,11 +614,17 @@ class TestUsageErrors:
          (("rh", "check", "--chi", "-8", "--m", "8", "--branch", "4,,4", "--chiq", "0"), "",
           "--branch: ''"),
          (("rh", "enum", "--chi", "-4", "--m", "4", "--chiqs=0,q"), "", "--chiqs: 'q'"),
-         (("homology", "lift", "-"), "rank=2\n1 0\n0 1\ntwist=1,x\n", "twist: 'x'"),
+         (("homology", "lift", "-"), "rank=2\n1 0\n0 1\ntwist=1,x\n", "matrix 1, twist: 'x'"),
          (("ln", "snf", "-"), "1 x\n", "row 1: 'x'"),
          (("ln", "snf", "-"), "1 2\n\n3 4.0\n", "row 2: '4.0'"),
-         (("homology", "lift", "-"), "rank=2\n1 x\n0 1\n", "row 1: 'x'"),
-         (("homology", "extract", "-"), "rank=two\n", "rank: 'two'"),
+         (("homology", "lift", "-"), "rank=2\n1 x\n0 1\n", "matrix 1, row 1: 'x'"),
+         (("homology", "extract", "-"), "rank=two\n", "matrix 1, rank: 'two'"),
+         (("homology", "extract", "-"), "rank=2\n1 0\n0 1\n\nrank=2\n1 0\n0 x\n",
+          "matrix 2, row 2: 'x'"),
+         (("homology", "lift", "-"), "rank=2\n1 0\n0 1\n\nrank=2\n1 0\nx 1\ntwist=0\n",
+          "matrix 2, row 2: 'x'"),
+         (("homology", "lift", "-"), "rank=2\n1 0\n0 1\ntwist=0\n\nrank=2\n1 0\n0 1\ntwist=y\n",
+          "matrix 2, twist: 'y'"),
          (("hom", "verify", "-"), "n=3 m=3\n1 : 1 x\n2 : 2\n", "image 1: 'x'"),
          (("hom", "cyclic", "-"), "n=3 m=y\n1 : 1\n2 : 2\n", "m: 'y'"),
          (("hom", "verify", "-"), "n=3 m=3\none : 1\n", "generator: 'one'"),
@@ -578,6 +636,7 @@ class TestUsageErrors:
           "vperm: 'q'")],
         ids=["eq-first", "eq-second", "central", "exp", "gamma", "branch", "branch-empty",
              "chiqs", "twist", "snf", "snf-blank-line", "matrix-row", "matrix-rank",
+             "extract-second-matrix", "lift-second-matrix", "lift-second-twist",
              "hom-image", "hom-header", "hom-generator", "graph-edge", "graph-label",
              "graph-cycles"],
     )
@@ -610,21 +669,30 @@ _LIFTS = "rank=2\n1 1\n0 1\ntwist=0\n\nrank=2\n1 0\n-1 1\ntwist=3\n"
     "argv, added, stdin",
     [
         ((), [], ""),
-        (("braid", "eq", "--n", "3", "1 2 1", "2 1 2"), ["braids", "kernel", "oracle"], ""),
-        (("perm", "enum", "--n", "5", "--k", "5", "--summary"), ["finite"], ""),
-        (("ln", "card", "--r", "3", "--M", "3", "--m", "3", "--d", "3", "--s", "9"), ["finite"],
-         ""),
-        (("rh", "bounds", "--genus", "2", "--b", "0"), ["riemann_hurwitz"], ""),
-        (("suite", "rh"), ["riemann_hurwitz", "suites"], ""),
-        (("suite", "perm"), ["finite", "suites"], ""),
-        (("homology", "rep", "--genus", "2", "--k", "3"), ["homology", "intmat"], ""),
-        (("homology", "lift", "-"), ["finite", "homology", "intmat"], _LIFTS),
+        (("braid", "eq", "--n", "3", "1 2 1", "2 1 2"),
+         ["braids", "commands", "commands.braid", "kernel", "oracle"], ""),
+        (("braid", "garside", "--n", "5"), ["braids", "commands", "commands.braid"], ""),
+        (("perm", "enum", "--n", "5", "--k", "5", "--summary"),
+         ["commands", "commands.perm", "finite"], ""),
+        (("ln", "card", "--r", "3", "--M", "3", "--m", "3", "--d", "3", "--s", "9"),
+         ["commands", "commands.ln", "finite"], ""),
+        (("rh", "bounds", "--genus", "2", "--b", "0"),
+         ["commands", "commands.rh", "riemann_hurwitz"], ""),
+        (("suite", "rh"), ["commands", "commands.suite", "riemann_hurwitz", "suites"], ""),
+        (("suite", "perm"), ["commands", "commands.suite", "finite", "suites"], ""),
+        (("homology", "rep", "--genus", "2", "--k", "3"),
+         ["commands", "commands.homology", "homology", "intmat"], ""),
+        (("homology", "lift", "-"),
+         ["commands", "commands.homology", "finite", "homology", "intmat"], _LIFTS),
+        (("graph", "brute", "--m", "6"), ["commands", "commands.graph", "graphs"], ""),
     ],
-    ids=["import", "braid-eq", "perm-enum", "ln-card", "rh-bounds", "suite-rh", "suite-perm",
-         "homology-rep", "homology-lift"],
+    ids=["import", "braid-eq", "braid-garside", "perm-enum", "ln-card", "rh-bounds", "suite-rh",
+         "suite-perm", "homology-rep", "homology-lift", "graph-brute"],
 )
 def test_subcommand_imports_only_its_modules(argv, added, stdin):
-    """Start-up loads the CLI alone; a subcommand adds just the modules it runs."""
+    """Start-up loads the CLI alone; a subcommand adds its command module and
+    just the modules it runs: no oracle for braid constructions, and no
+    finite for the graph search."""
     src = str(Path(chaingroup.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     done = subprocess.run(
@@ -635,6 +703,45 @@ def test_subcommand_imports_only_its_modules(argv, added, stdin):
     assert before == ["chaingroup", "chaingroup.cli"]
     assert new == [f"chaingroup.{m}" for m in added]
     assert code == 0
+
+
+# Runs the CLI as `python -m chaingroup.cli` does, then prints the chaingroup
+# modules loaded.
+_AS_MAIN = """
+import contextlib, io, json, runpy, sys
+sys.argv = ["chaingroup", *sys.argv[1:]]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    runpy.run_module("chaingroup.cli", run_name="__main__", alter_sys=True)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "chaingroup")))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("braid", "garside", "--n", "4"),
+        ("hom", "cable", "--k", "1"),
+        ("homology", "lift", "-"),
+        ("ln", "validate", "--r", "3", "--M", "3", "--m", "3", "--d", "3", "--s", "9"),
+        ("perm", "enum", "--n", "3", "--k", "2"),
+        ("graph", "brute", "--m", "2"),
+        ("rh", "bounds", "--genus", "2", "--b", "0"),
+        ("suite", "rh"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_run_as_main_compiles_the_entry_point_once(argv):
+    """Run as __main__, the entry point is not imported a second time as
+    chaingroup.cli: no command module imports it."""
+    src = str(Path(chaingroup.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", _AS_MAIN, *argv], input=_LIFTS, capture_output=True, text=True,
+        env=env, check=True,
+    )
+    loaded = json.loads(done.stdout)
+    assert f"chaingroup.commands.{argv[0]}" in loaded
+    assert "chaingroup.cli" not in loaded
 
 
 def _run_cli(argv, stdin="", **extra_env):

@@ -4,13 +4,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from chaingroup import finite
+from chaingroup import cycles, finite
 from chaingroup.finite import (
     AbelianInvariants,
     LnParams,
     PermRep,
     count_perm_reps,
-    cycles,
     enum_perm_reps,
     ln_group,
     perm_rep_classes,
@@ -25,7 +24,12 @@ from chaingroup.suites import (
     noncyclic_exists,
     random_quotients_ok,
 )
-from reference import enum_perm_reps_by_tables, ln_params_rows, smith_normal_form_restarting
+from reference import (
+    chains_from_by_scanning,
+    enum_perm_reps_by_tables,
+    ln_params_rows,
+    smith_normal_form_restarting,
+)
 
 
 class TestSmithNormalForm:
@@ -373,6 +377,14 @@ class TestSearchAgainstPairTables:
         preds = (all_cyclic, noncyclic_exists) + ((first_equals_third,) if n >= 4 else ())
         for pred in preds:
             assert pred(reps) == pred(full_reps)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_chains_match_the_scanning_search(self, n):
+        """Conjugating the first image's partners and commuting members finds
+        the chains that scanning the class for every image finds, in order."""
+        for k in range(1, 8):
+            for members, reps in perm_rep_classes(n, k, budget=7):
+                assert [rep.images for rep in reps] == chains_from_by_scanning(members, n - 1)
 
     def test_classes_start_at_their_least_member(self):
         classes = perm_rep_classes(5, 4)

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from chaingroup.graphs import (
     genus_audit,
     parse_graph,
 )
+from reference import canonical_key_all_rotations
 
 
 class TestActionGraph:
@@ -151,6 +154,17 @@ class TestGenusAudit:
             genus_audit(g, 3, 0)
 
 
+def _renumbered(g, sigma, tau, labels=None):
+    """g with vertex v renamed sigma[v] and edge j renumbered tau[j]."""
+    edges, eperm, vperm = [None] * g.num_edges, [0] * g.num_edges, [0] * g.num_vertices
+    for j, (u, w) in enumerate(g.edges):
+        edges[tau[j]] = (sigma[u], sigma[w])
+        eperm[tau[j]] = tau[g.eperm[j]]
+    for v in range(g.num_vertices):
+        vperm[sigma[v]] = sigma[g.vperm[v]]
+    return ActionGraph(g.num_vertices, edges, vperm, eperm, labels)
+
+
 @st.composite
 def relabelled_templates(draw):
     """A generate() template with its vertices and edges renumbered at random,
@@ -159,16 +173,57 @@ def relabelled_templates(draw):
     g = generate(draw(st.sampled_from(all_classes(m))), m)
     sigma = draw(st.permutations(range(g.num_vertices)))
     tau = draw(st.permutations(range(g.num_edges)))
-    edges, eperm, vperm = [None] * g.num_edges, [0] * g.num_edges, [0] * g.num_vertices
-    for j, (u, w) in enumerate(g.edges):
-        edges[tau[j]] = (sigma[u], sigma[w])
-        eperm[tau[j]] = tau[g.eperm[j]]
-    for v in range(g.num_vertices):
-        vperm[sigma[v]] = sigma[g.vperm[v]]
     label = st.tuples(st.integers(-5, 50), st.integers(-5, 50))
     labels = draw(st.none() | st.lists(label, min_size=g.num_vertices,
                                        max_size=g.num_vertices).map(tuple))
-    return ActionGraph(g.num_vertices, edges, vperm, eperm, labels)
+    return _renumbered(g, sigma, tau, labels)
+
+
+@functools.lru_cache(maxsize=None)
+def _searched(m):
+    """Every graph brute_enumerate finds and every template, with m edges."""
+    return (*brute_enumerate(m, budget=16), *(generate(c, m) for c in all_classes(m)))
+
+
+@st.composite
+def renumbered_searched(draw):
+    """A graph of _searched(m), m <= 12, and a copy with its vertices renamed
+    and its edges rotated or renumbered at random."""
+    g = draw(st.sampled_from(_searched(draw(st.integers(1, 12)))))
+    sigma = draw(st.permutations(range(g.num_vertices)))
+    shift = draw(st.integers(0, g.num_edges - 1))
+    rotation = [(j + shift) % g.num_edges for j in range(g.num_edges)]
+    tau = draw(st.just(rotation) | st.permutations(range(g.num_edges)))
+    return g, _renumbered(g, sigma, tau)
+
+
+class TestCanonicalKey:
+    """One starting edge per cycle of eperm against starting at every edge."""
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_matches_all_rotations(self, m):
+        for g in _searched(m):
+            assert canonical_key(g) == canonical_key_all_rotations(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # a loop and a pendant edge, each its own edge cycle: only the
+            # walk from the pendant edge names both vertices
+            ActionGraph(2, ((0, 0), (0, 1)), (0, 1), (0, 1)),
+            # a path swapped end to end, with a loop at each end
+            ActionGraph(3, ((0, 1), (1, 2), (0, 0), (2, 2)), (2, 1, 0), (1, 0, 3, 2)),
+        ],
+        ids=["loop-and-edge", "path-with-end-loops"],
+    )
+    def test_one_start_per_edge_cycle(self, g):
+        assert canonical_key(g) == canonical_key_all_rotations(g)
+
+    @settings(deadline=None, max_examples=200)
+    @given(renumbered_searched())
+    def test_renumbering_keeps_the_key(self, pair):
+        g, h = pair
+        assert canonical_key(h) == canonical_key(g) == canonical_key_all_rotations(h)
 
 
 class TestTextFormat:

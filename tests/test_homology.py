@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaingroup import cli, intmat
+from chaingroup import intmat
+from chaingroup.commands import homology as homology_cmd
 from chaingroup.homology import (
     CYCLIC,
     NOT_RECOGNIZED,
@@ -687,8 +688,8 @@ class TestTextFormats:
         """Lift elements, the empty twist vector among them, survive
         formatting and parsing."""
         elements = [CentralExtElement(m, tw) for m, tw in blocks]
-        text = "\n\n".join(cli._format_element(e) for e in elements)
-        assert cli._parse_elements(text) == elements
+        text = "\n\n".join(homology_cmd._format_element(e) for e in elements)
+        assert homology_cmd._parse_elements(text) == elements
 
     def test_chain_round_trip(self):
         """The printed vectors are the chain's classes, in order."""

@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import chaingroup
+from chaingroup import cli
 
 SOURCE = Path(chaingroup.__file__).parent
 # The front door: the CLI entry point and the suite registry it shares with
@@ -10,6 +11,18 @@ SOURCE = Path(chaingroup.__file__).parent
 ROOTS = ("cli.main", "suites.SUITES")
 # perfbench stamps every run with the kernel's backend name.
 UNREACHED_ALLOWED = {"kernel.backend"}
+# cli.build_parser imports the command module of each group in the registry,
+# chaingroup.commands.<group>, and calls these two of its functions.
+COMMAND_ENTRIES = ("add_arguments", "run")
+
+
+def _module_name(path: Path) -> str:
+    """The dotted name of a package module below chaingroup: "cli",
+    "commands", "commands.perm"; the package root itself is "__init__"."""
+    parts = path.relative_to(SOURCE).with_suffix("").parts
+    if parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts) or "__init__"
 
 
 def _modules():
@@ -63,26 +76,34 @@ def _name_graph():
 
     A definition names another through a bare name (its own module's or one
     imported with `from .mod import name`) or through `mod.name`, where mod
-    was imported with `from . import mod`. `from . import name` imports a
-    module unless name is defined at the top level of `__init__.py`. Imports
-    count wherever they stand in the module, at top level or inside a
-    function.
+    was imported with `from . import mod` (or `from .. import mod` in a
+    subpackage). `from . import name` imports a module unless name is
+    defined at the top level of that package's `__init__.py`. Imports count
+    wherever they stand in the module, at top level or inside a function.
+    The registry cli._GROUPS names the command module of each group, which
+    cli.build_parser imports by name.
     """
-    trees = {path.stem: tree for path, tree in _modules()}
+    trees, packages = {}, {}
+    for path, tree in _modules():
+        mod = _module_name(path)
+        trees[mod] = tree
+        packages[mod] = path.parent.relative_to(SOURCE).parts
     top = {mod: _top_level_definitions(tree) for mod, tree in trees.items()}
     graph = {}
     for mod, tree in trees.items():
         defs, modules, names = top[mod], {}, {}
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if isinstance(node, ast.ImportFrom) and node.level >= 1:
+                base = list(packages[mod][:len(packages[mod]) - node.level + 1])
+                if node.module is not None:
+                    base.append(node.module)
+                package = ".".join(base) or "__init__"
                 for alias in node.names:
                     local = alias.asname or alias.name
-                    if node.module is not None:
-                        names[local] = f"{node.module}.{alias.name}"
-                    elif alias.name in top["__init__"]:
-                        names[local] = f"__init__.{alias.name}"
+                    if alias.name in top.get(package, ()):
+                        names[local] = f"{package}.{alias.name}"
                     else:
-                        modules[local] = alias.name
+                        modules[local] = ".".join([*base, alias.name])
         names.update((name, f"{mod}.{name}") for name in defs)
         for name, node in defs.items():
             edges = set()
@@ -93,6 +114,8 @@ def _name_graph():
                       and sub.value.id in modules):
                     edges.add(f"{modules[sub.value.id]}.{sub.attr}")
             graph[f"{mod}.{name}"] = edges
+    graph["cli._GROUPS"] |= {f"commands.{group}.{entry}" for group in cli._GROUPS
+                             for entry in COMMAND_ENTRIES}
     return graph
 
 
@@ -136,8 +159,13 @@ def _writes_stdout(node) -> bool:
 
 def test_only_the_answer_writer_prints_to_stdout():
     """Every CLI answer, its trailer and its exit code go out through one
-    function, cli._answer; elsewhere cli.py writes to stderr only."""
-    tree = ast.parse((SOURCE / "cli.py").read_text())
-    writers = {getattr(top, "name", f"line {top.lineno}") for top in tree.body
-               for node in ast.walk(top) if _writes_stdout(node)}
-    assert writers == {"_answer"}
+    function, chaingroup.commands._answer; elsewhere cli.py and the command
+    modules write to stderr only."""
+    writers = {}
+    for path in [SOURCE / "cli.py", *sorted((SOURCE / "commands").glob("*.py"))]:
+        tree = ast.parse(path.read_text())
+        found = {getattr(top, "name", f"line {top.lineno}") for top in tree.body
+                 for node in ast.walk(top) if _writes_stdout(node)}
+        if found:
+            writers[_module_name(path)] = found
+    assert writers == {"commands": {"_answer"}}
