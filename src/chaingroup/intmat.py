@@ -18,30 +18,24 @@ Vector = tuple[int, ...]
 
 
 def as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(tuple(map(int, row)) for row in rows)
+    return tuple([tuple(map(int, row)) for row in rows])
 
 
 def identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)])
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a[0]) != len(b):
         raise ValueError("matrix dimensions do not match")
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    if any(len(row) != len(v) for row in a):
+    if set(map(len, a)) - {len(v)}:
         raise ValueError("matrix and vector dimensions do not match")
-    return tuple(sum(map(mul, row, v)) for row in a)
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(x - y for x, y in zip(r, s, strict=True)) for r, s in zip(a, b, strict=True)
-    )
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def primitive(v: Sequence[int]) -> Vector:

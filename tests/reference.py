@@ -14,7 +14,10 @@ centrality with one check through the centre <Delta^2>.
 
 The dense symplectic form is the reference for chaingroup.homology's
 structured arithmetic: the matrix J built entry by entry, transvections as
-I + eps*outer(c, Jc), and pairing preservation as M^T J M == J. The triple
+I + eps*outer(c, Jc), pairing preservation as M^T J M == J, and the chain
+pattern with each pairing c_i^T J c_j read off J. The references below that
+need a transvection, a pairing or a chain check use these dense forms and
+intmat.mat_mul, never the homology routines they are compared with. The triple
 recovery by inverses is the reference for homology.extract_triple, which
 reads the classes off matrix differences and the first class off the
 chain's intersection pattern: it inverts a pairing-preserving M as
@@ -214,7 +217,7 @@ def apply_transvection(
     lat: homology.SkewLattice, rep: Sequence[Matrix], v: Matrix
 ) -> list[Matrix]:
     """Element-wise products M_i * V for a direction V centralizing the rep."""
-    if not homology.is_pairing_preserving(lat, v):
+    if not dense_preserves(dense_pairing(lat.genus), v):
         raise ValueError("direction must preserve the pairing")
     for m in rep:
         if intmat.mat_mul(m, v) != intmat.mat_mul(v, m):
@@ -226,18 +229,22 @@ def monodromy_rep_all_pairs(
     lat: homology.SkewLattice, chain: Sequence[homology.CurveClass], eps: int
 ) -> list[Matrix]:
     """Transvection matrices of a chain as homology.monodromy_rep returns
-    them, with every adjacent braid relation and every distant commutation
-    checked as a matrix identity."""
-    twist_product = homology.twist_product
-    homology._require_chain(lat, chain)
-    ms = [homology.transvection_matrix(lat, c, eps) for c in chain]
-    for i, a in enumerate(chain):
+    them, as dense matrices, with every adjacent braid relation and every
+    distant commutation checked as a dense matrix identity."""
+    J = dense_pairing(lat.genus)
+    dense_require_chain(J, chain)
+    if eps not in (1, -1):
+        raise ValueError("eps must be +1 or -1")
+    ms = [dense_transvection(J, c.v, eps) for c in chain]
+    mul = intmat.mat_mul
+    for i in range(len(ms)):
         for j in range(i + 1, len(ms)):
-            # T_a x = T_b y: x, y = T_b, T_a, or T_b T_a, T_a T_b when adjacent
-            b, x, y = chain[j], ms[j], ms[i]
+            a, b = ms[i], ms[j]
             if j == i + 1:
-                x, y = twist_product(lat, b, eps, y), twist_product(lat, a, eps, x)
-            if twist_product(lat, a, eps, x) != twist_product(lat, b, eps, y):
+                holds = mul(mul(a, b), a) == mul(mul(b, a), b)
+            else:
+                holds = mul(a, b) == mul(b, a)
+            if not holds:
                 raise RuntimeError(f"chain transvections {i + 1},{j + 1} violated a relation")
     return ms
 
@@ -247,6 +254,12 @@ def monodromy_rep_all_pairs(
 
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
+
+
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(
+        tuple(x - y for x, y in zip(r, s, strict=True)) for r, s in zip(a, b, strict=True)
+    )
 
 
 def dense_pairing(g: int) -> Matrix:
@@ -269,6 +282,24 @@ def dense_transvection(J: Matrix, c: Sequence[int], eps: int) -> Matrix:
 def dense_preserves(J: Matrix, m: Matrix) -> bool:
     """M^T J M == J."""
     return intmat.mat_mul(intmat.mat_mul(transpose(m), J), m) == J
+
+
+def dense_require_chain(J: Matrix, chain: Sequence[homology.CurveClass]) -> None:
+    """The chain pattern as homology's check states it, with every pairing
+    c_i^T J c_j read off the dense form: nonzero classes of the rank, pairing
+    to +-1 when consecutive and to 0 at distance two or more."""
+    for c in chain:
+        if len(c.v) != len(J):
+            raise ValueError(f"class {c.v} has length {len(c.v)}, lattice rank is {len(J)}")
+        if not any(c.v):
+            raise ValueError("chain classes must be nonzero")
+    for i, a in enumerate(chain):
+        for j in range(i + 1, len(chain)):
+            p = sum(x * y for x, y in zip(a.v, intmat.mat_vec(J, chain[j].v)))
+            if j == i + 1 and abs(p) != 1:
+                raise ValueError(f"consecutive classes {i},{j} must pair to +-1, got {p}")
+            if j > i + 1 and p != 0:
+                raise ValueError(f"distant classes {i},{j} must pair to 0, got {p}")
 
 
 def negated(m: Matrix) -> Matrix:
@@ -376,10 +407,10 @@ def kernel_basis(a: Matrix) -> list[Vector]:
 # ------------------------------------------- triple recovery by inverses ----
 
 
-def symplectic_inverse(lat: homology.SkewLattice, m: Matrix) -> Matrix | None:
+def symplectic_inverse(J: Matrix, m: Matrix) -> Matrix | None:
     """M^{-1} = -J M^T J when M preserves the pairing, else None."""
-    inv = tuple(map(lat.dual, transpose(tuple(map(lat.dual, m)))))
-    return inv if intmat.mat_mul(m, inv) == intmat.identity(lat.rank) else None
+    inv = intmat.mat_mul(intmat.mat_mul(negated(J), transpose(m)), J)
+    return inv if intmat.mat_mul(m, inv) == intmat.identity(len(J)) else None
 
 
 def _rank_one_square(c: Matrix) -> Vector | None:
@@ -413,13 +444,13 @@ def extract_triple_by_inverses(lat: homology.SkewLattice, ms: Sequence[Matrix]):
     if all(m == ms[0] for m in ms):
         return homology.CYCLIC
 
-    ident = intmat.identity(lat.rank)
-    inv3 = symplectic_inverse(lat, ms[2])
-    inv4 = symplectic_inverse(lat, ms[3])
+    J, ident = dense_pairing(lat.genus), intmat.identity(lat.rank)
+    inv3 = symplectic_inverse(J, ms[2])
+    inv4 = symplectic_inverse(J, ms[3])
     if inv3 is None or inv4 is None:
         return homology.NOT_RECOGNIZED
-    d13 = intmat.mat_sub(intmat.mat_mul(ms[0], inv3), ident)
-    d14 = intmat.mat_sub(intmat.mat_mul(ms[0], inv4), ident)
+    d13 = mat_sub(intmat.mat_mul(ms[0], inv3), ident)
+    d14 = mat_sub(intmat.mat_mul(ms[0], inv4), ident)
     im13 = column_space_basis(d13)
     im14 = column_space_basis(d14)
     if len(im13) != 2 or len(im14) != 2:
@@ -430,27 +461,27 @@ def extract_triple_by_inverses(lat: homology.SkewLattice, ms: Sequence[Matrix]):
     c1 = homology.CurveClass(intmat.sign_normalized(common[0]))
 
     for eps in (1, -1):
-        v = homology.twist_product(lat, c1, -eps, ms[0])
-        v_inv = symplectic_inverse(lat, v)
+        v = intmat.mat_mul(dense_transvection(J, c1.v, -eps), ms[0])
+        v_inv = symplectic_inverse(J, v)
         if v_inv is None:
             continue
         chain: list[homology.CurveClass] = []
         for m in ms:
-            d = intmat.mat_sub(intmat.mat_mul(m, v_inv), ident)
-            # eps d J, row by row: x J = -J x
-            b = _rank_one_square(tuple(tuple(-eps * x for x in lat.dual(row)) for row in d))
+            d = mat_sub(intmat.mat_mul(m, v_inv), ident)
+            dj = intmat.mat_mul(d, J)
+            b = _rank_one_square(tuple(tuple(eps * x for x in row) for row in dj))
             if b is None:
                 break
             chain.append(homology.CurveClass(b))
         if len(chain) != len(ms) or chain[0] != c1:
             continue
         try:
-            homology._require_chain(lat, chain)
+            dense_require_chain(J, chain)
         except ValueError:
             continue
         if any(intmat.mat_vec(v, c.v) not in (c.v, tuple(-x for x in c.v)) for c in chain):
             continue
-        if any(homology.twist_product(lat, c, eps, v) != m for c, m in zip(chain, ms)):
+        if any(intmat.mat_mul(dense_transvection(J, c.v, eps), v) != m for c, m in zip(chain, ms)):
             continue
         return homology.TransvectionTriple(tuple(chain), eps, v)
     return homology.NOT_RECOGNIZED

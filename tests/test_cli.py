@@ -645,6 +645,23 @@ class TestUsageErrors:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message} is not an integer\n")
 
+    @pytest.mark.parametrize(
+        "op, stdin, message",
+        [("extract", "rank=2\n1 0\n0 1\n\nrank=2\n1 0\n",
+          "matrix 2: expected 2 matrix rows, got 1"),
+         ("extract", "rank=2\n1 0\n0 1\n\nrank=2\n1 0\n0\n",
+          "matrix 2: matrix rows must have rank entries each"),
+         ("lift", "rank=2\n1 0\n0 1\ntwist=0\n\nrank=2\n1 0\ntwist=0\n",
+          "matrix 2: expected 2 matrix rows, got 1"),
+         ("lift", "rank=2\n1 0\n0 1\ntwist=0\n\nrank=2\n1 0\n0 1 0\ntwist=0\n",
+          "matrix 2: matrix rows must have rank entries each")],
+        ids=["extract-rows", "extract-row-length", "lift-rows", "lift-row-length"],
+    )
+    def test_misshapen_matrix_names_its_block(self, capsys, monkeypatch, op, stdin, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = run(capsys, "homology", op, "-")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 # Prints the chaingroup modules loaded by `import chaingroup.cli` and those a
 # dispatch of the given arguments adds to them.

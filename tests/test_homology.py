@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from chaingroup import intmat
 from chaingroup.commands import homology as homology_cmd
 from chaingroup.homology import (
+    _require_chain,
     CYCLIC,
     NOT_RECOGNIZED,
     CentralExtElement,
@@ -29,6 +30,7 @@ from reference import (
     apply_transvection,
     dense_pairing,
     dense_preserves,
+    dense_require_chain,
     dense_transvection,
     extract_triple_by_inverses,
     kernel_basis,
@@ -36,6 +38,11 @@ from reference import (
     monodromy_rep_all_pairs,
     negated,
 )
+
+
+def pair(lat, x, y):
+    """<x, y> as the package forms it: x . Jy, with Jy from the lattice's dual."""
+    return sum(a * b for a, b in zip(x, lat.dual(y), strict=True))
 
 
 def random_primitive(rng, rank):
@@ -57,12 +64,12 @@ class TestStandardLattice:
     def test_genus_one(self):
         lat = standard_lattice(1)
         assert (lat.dual((1, 0)), lat.dual((0, 1))) == ((0, -1), (1, 0))
-        assert lat.pair((1, 0), (0, 1)) == 1 and lat.pair((0, 1), (1, 0)) == -1
+        assert pair(lat, (1, 0), (0, 1)) == 1 and pair(lat, (0, 1), (1, 0)) == -1
 
     def test_genus_two_blocks(self):
         lat = standard_lattice(2)
         basis = intmat.identity(4)
-        J = tuple(tuple(lat.pair(x, y) for y in basis) for x in basis)
+        J = tuple(tuple(pair(lat, x, y) for y in basis) for x in basis)
         assert J == dense_pairing(2)
         assert J[0][1] == 1 and J[1][0] == -1
         assert J[2][3] == 1 and J[3][2] == -1
@@ -70,20 +77,22 @@ class TestStandardLattice:
 
     def test_bilinearity(self):
         lat = standard_lattice(2)
-        assert lat.pair((1, 0, 1, 0), (0, 1, 0, 0)) == 1
+        assert pair(lat, (1, 0, 1, 0), (0, 1, 0, 0)) == 1
 
     def test_wrong_length_rejected(self):
         lat = standard_lattice(2)
-        for x, y in [((1, 0), (0, 1)), ((1, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 1))]:
-            with pytest.raises(ValueError):
-                lat.pair(x, y)
+        for v in [(1, 0), (0, 1, 0), (0, 1, 0, 0, 0)]:
+            with pytest.raises(ValueError, match=f"length {len(v)}, lattice rank is 4"):
+                lat.dual(v)
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_either_side_of_the_wrong_length_rejected(self, n):
-        lat, v, w = standard_lattice(2), (1, 0, 0, 0), (1,) * n
-        for x, y in ((v, w), (w, v)):
+        """A chain check pairs every two classes; a class of the wrong length
+        is refused whether it comes first or second."""
+        lat, v, w = standard_lattice(2), CurveClass((1, 0, 0, 0)), CurveClass((1,) * n)
+        for chain in ([v, w], [w, v]):
             with pytest.raises(ValueError, match=f"length {n}, lattice rank is 4"):
-                lat.pair(x, y)
+                _require_chain(lat, chain)
 
     def test_genus_zero_unsupported(self):
         with pytest.raises(ValueError):
@@ -111,7 +120,7 @@ class TestBuildChain:
     def test_two_classes(self):
         lat = standard_lattice(2)
         c = build_chain(lat, 2)
-        assert abs(lat.pair(c[0].v, c[1].v)) == 1
+        assert abs(pair(lat, c[0].v, c[1].v)) == 1
 
     def test_pattern_for_all_lengths(self):
         for g in (1, 2, 3, 4):
@@ -120,7 +129,7 @@ class TestBuildChain:
                 chain = build_chain(lat, k)
                 for i in range(len(chain)):
                     for j in range(i + 1, len(chain)):
-                        p = lat.pair(chain[i].v, chain[j].v)
+                        p = pair(lat, chain[i].v, chain[j].v)
                         assert abs(p) == 1 if j == i + 1 else p == 0
 
 
@@ -154,7 +163,7 @@ class TestTransvection:
         rng = random.Random(9)
         for _ in range(40):
             a, b = random_primitive(rng, 4), random_primitive(rng, 4)
-            p = lat.pair(a.v, b.v)
+            p = pair(lat, a.v, b.v)
             ta = transvection_matrix(lat, a, 1)
             tb = transvection_matrix(lat, b, 1)
             if p == 0:
@@ -197,7 +206,7 @@ class TestStructuredAgainstDense:
         x, y = xy
         lat, J = standard_lattice(len(x) // 2), dense_pairing(len(x) // 2)
         assert lat.dual(y) == intmat.mat_vec(J, y)
-        assert lat.pair(x, y) == sum(a * b for a, b in zip(x, intmat.mat_vec(J, y)))
+        assert pair(lat, x, y) == sum(a * b for a, b in zip(x, intmat.mat_vec(J, y)))
 
     @settings(deadline=None)
     @given(st.data())
@@ -227,6 +236,40 @@ class TestStructuredAgainstDense:
     def test_preservation_needs_a_square_matrix_of_the_rank(self, m):
         with pytest.raises(ValueError, match="not 4x4"):
             is_pairing_preserving(standard_lattice(2), m)
+
+    @pytest.mark.parametrize("m", [((1, 0, 0, 0), (0, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+                                   ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)),
+                                   ((1, 0, 0, 0, 0),) * 4])
+    def test_twist_product_needs_a_square_matrix_of_the_rank(self, m):
+        """A short row is refused, not cut to the length of the others."""
+        with pytest.raises(ValueError, match="matrix is not 4x4"):
+            twist_product(standard_lattice(2), CurveClass((1, 0, 0, 0)), 1, m)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_chain_check_is_the_dense_check(self, data):
+        """Chains moved by a product of dense transvections are accepted, and
+        the chain check refuses, with the same message, exactly what the
+        dense check refuses once a class is shifted, swapped or negated."""
+        g = data.draw(GENERA)
+        lat, J = standard_lattice(g), dense_pairing(g)
+        k = data.draw(st.integers(1, 2 * g + 1))
+        s = data.draw(dense_symplectic(g))
+        chain = [list(intmat.mat_vec(s, c.v)) for c in build_chain(lat, k)]
+        kind = data.draw(st.sampled_from(("chain", "shifted", "swapped", "negated")))
+        i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+        if kind == "shifted":
+            t = data.draw(st.integers(0, 2 * g - 1))
+            chain[i][t] += data.draw(st.sampled_from((-2, -1, 1, 2)))
+        elif kind == "swapped":
+            chain[i], chain[j] = chain[j], chain[i]
+        elif kind == "negated":
+            chain[i] = [-x for x in chain[i]]
+        classes = [CurveClass(intmat.primitive(v)) for v in chain]
+        outcome = _outcome(_require_chain, lat, classes)
+        assert outcome == _outcome(dense_require_chain, J, classes)
+        if kind == "chain":
+            assert outcome is None
 
     def test_chain_product_square_is_the_dense_product(self):
         for g in (1, 2, 3):
