@@ -7,12 +7,17 @@ representations, edge-transitive cyclic graph actions, and Riemann-Hurwitz
 feasibility arithmetic. Everything is exact: Python integers only, no
 floating point. The package root holds what the modules share: the Record
 value type; parse_int and parse_ints, through which every integer of
-outside input is read, so that a malformed one names its field; and the
-cycles of a permutation, which the permutation search and the graph
-actions both read, so that graph calls do not load chaingroup.finite.
+outside input is read, so that a malformed one names its field; the bound
+on the numbers an answer prints; and the cycles of a permutation, which the
+permutation search and the graph actions both read, so that graph calls do
+not load chaingroup.finite.
 """
 
 from collections.abc import Iterable, Sequence
+
+# Answers print numbers in decimal, none of more than this many bits: 14 000
+# bits is at most 4215 digits, inside the interpreter's 4300-digit str() limit.
+PRINT_MAX_BITS = 14_000
 
 
 class Record:

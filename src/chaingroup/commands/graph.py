@@ -51,7 +51,7 @@ def run(args) -> int:
         body = [graphs.format_graph(graphs.generate(kind(args.k, step, args.d), args.m))]
         return _answer(body, check="template-construction", m=args.m)
     if args.op == "brute":
-        found = graphs.brute_enumerate(args.m, budget=_budget(8))
+        found = graphs.brute_enumerate(args.m, budget=_budget(graphs.BRUTE_BUDGET))
         body = [_fields(count=len(found)), *(_format_class(graphs.classify(g)) for g in found)]
         return _answer(body, check="exhaustive-search", m=args.m)
     if args.op == "audit":

@@ -23,9 +23,9 @@ def add_arguments(parser) -> None:
         q.add_argument("file")
 
 
-def _parse_elements(text: str) -> list[homology.CentralExtElement]:
-    """The blocks of text as extension elements: a matrix, then an optional
-    twist= line; malformed integers are named by their block's number."""
+def _parse_elements(text: str) -> list[homology.Lift]:
+    """The blocks of text as lifts: a matrix, then an optional twist= line;
+    malformed integers are named by their block's number."""
     from .. import homology
 
     out = []
@@ -33,15 +33,14 @@ def _parse_elements(text: str) -> list[homology.CentralExtElement]:
         lines = [ln for ln in block.splitlines() if ln.strip()]
         has_twist = lines and lines[-1].startswith("twist=")
         twist = _ints(lines.pop()[6:], f"matrix {i}, twist") if has_twist else ()
-        mat = homology.parse_matrix("\n".join(lines), f"matrix {i}")
-        out.append(homology.CentralExtElement(mat, twist))
+        out.append((homology.parse_matrix("\n".join(lines), f"matrix {i}"), twist))
     return out
 
 
-def _format_element(e: homology.CentralExtElement) -> str:
+def _format_element(lift: homology.Lift) -> str:
     from .. import homology
 
-    return homology.format_matrix(e.mat) + "\n" + _fields(twist=e.twist)
+    return homology.format_matrix(lift[0]) + "\n" + _fields(twist=lift[1])
 
 
 def run(args) -> int:

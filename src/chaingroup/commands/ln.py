@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import _answer, _fields, _read_input, _verdict
-from .. import parse_ints
+from .. import PRINT_MAX_BITS, parse_ints
 
 # `ln snf` reads at most this many rows and columns: dense input of side
 # 64 takes about 0.2 s (subprocess, 2 x86_64 cores, Python 3.11), and cost
@@ -30,6 +30,8 @@ def run(args) -> int:
             raise ValueError(f"ln snf takes at most {SNF_MAX_SIDE} rows and columns")
         inv = finite.smith_normal_form([parse_ints(tokens, f"row {i}")
                                         for i, tokens in enumerate(lines, 1)])
+        if max(inv.factors, default=0).bit_length() > PRINT_MAX_BITS:
+            raise ValueError(f"invariant factors exceed {PRINT_MAX_BITS} bits")
         body = [_fields(factors=inv.factors), _fields(free_rank=inv.free_rank)]
         return _answer(body, check="invariant-factors")
     p = finite.LnParams(args.r, args.M, args.m, args.d, args.s)

@@ -27,7 +27,7 @@ def _format_perm_images(rep: finite.PermRep) -> str:
 def run(args) -> int:
     from .. import finite
 
-    budget = _budget(6)
+    budget = _budget(finite.PERM_SEARCH_BUDGET)
     if args.summary and not args.dedup:
         count, cyclic = finite.count_perm_reps(args.n, args.k, budget=budget)
     else:

@@ -30,7 +30,7 @@ import math
 from operator import itemgetter
 from typing import Sequence
 
-from . import Record, cycles
+from . import PRINT_MAX_BITS, Record, cycles
 
 
 class LnParams(Record):
@@ -140,11 +140,14 @@ LN_MAX_GENERATORS = 200
 def ln_group(p: LnParams) -> AbelianInvariants:
     """Invariant factors of the quotient; cardinality (M/m) * d * m^(r-1).
 
-    Requires validate_params, positive torsion (M > 0) and at most
-    LN_MAX_GENERATORS generators. In the basis f_1 = e_1, f_i = e_i - e_1,
-    then g_2 = f_2 + ... + f_r, the relations span M f_1, m f_i and
-    (dr - s) f_1 + d g_2; the rows M e_i (i >= 2) are redundant as m | M. So
-    the quotient is Z^2/<(M, 0), (0, m), (dr - s, d)> + (Z/m)^(r-2), and the
+    Requires validate_params, positive torsion (M > 0), at most
+    LN_MAX_GENERATORS generators and an order of at most PRINT_MAX_BITS
+    bits, checked before any power is computed: as m <= 2^bitlen(m - 1),
+    the order has at most bitlen(dM/m) + (r-1)*bitlen(m - 1) bits. In the
+    basis f_1 = e_1, f_i = e_i - e_1, then g_2 = f_2 + ... + f_r, the
+    relations span M f_1, m f_i and (dr - s) f_1 + d g_2; the rows M e_i
+    (i >= 2) are redundant as m | M. So the quotient is
+    Z^2/<(M, 0), (0, m), (dr - s, d)> + (Z/m)^(r-2), and the
     3 x 2 block's invariant factors (a, b), with a | m | b, close the chain
     (a, m, ..., m, b). The block's 2 x 2 minors Mm, Md, m(dr - s) are where
     the validity condition M | m(r - s/d) enters: it makes (a, b) = (d, M).
@@ -155,6 +158,8 @@ def ln_group(p: LnParams) -> AbelianInvariants:
         raise ValueError("group computation needs positive torsion M > 0")
     if p.r > LN_MAX_GENERATORS:
         raise ValueError(f"quotients take at most {LN_MAX_GENERATORS} generators, got {p.r}")
+    if (p.d * p.M // p.m).bit_length() + (p.r - 1) * (p.m - 1).bit_length() > PRINT_MAX_BITS:
+        raise ValueError(f"quotient order would exceed {PRINT_MAX_BITS} bits")
     block = smith_normal_form([[p.M, 0], [0, p.m], [p.d * p.r - p.s, p.d]])
     if block.free_rank != 0:
         raise RuntimeError(f"quotient for {p} has free rank {block.free_rank}, expected finite")
@@ -266,8 +271,13 @@ def _chains_from(
     return found
 
 
+# The permutation search's default symbol budget; CHAINGROUP_BUDGET overrides it
+# on the command line.
+PERM_SEARCH_BUDGET = 6
+
+
 def perm_rep_classes(
-    n: int, k: int, budget: int | None = None
+    n: int, k: int, budget: int = PERM_SEARCH_BUDGET
 ) -> list[tuple[list[tuple[int, ...]], list[PermRep]]]:
     """The (n-1)-tuples obeying the relations, up to simultaneous conjugacy.
 
@@ -279,9 +289,8 @@ def perm_rep_classes(
     """
     if n < 3 or k < 1:
         raise ValueError("need n >= 3 strands and k >= 1 symbols")
-    cap = budget if budget is not None else 6
-    if k > cap:
-        raise ValueError(f"symbol count {k} exceeds the search budget {cap}")
+    if k > budget:
+        raise ValueError(f"symbol count {k} exceeds the search budget {budget}")
     out = []
     for members in _conjugacy_classes(k):
         reps = [PermRep(k, images) for images in _chains_from(members, n - 1)]
@@ -292,7 +301,7 @@ def perm_rep_classes(
     return out
 
 
-def count_perm_reps(n: int, k: int, budget: int | None = None) -> tuple[int, int]:
+def count_perm_reps(n: int, k: int, budget: int = PERM_SEARCH_BUDGET) -> tuple[int, int]:
     """(count, cyclic) of the tuples enum_perm_reps(n, k) lists, without
     listing them.
 
@@ -308,7 +317,7 @@ def count_perm_reps(n: int, k: int, budget: int | None = None) -> tuple[int, int
 
 
 def enum_perm_reps(
-    n: int, k: int, dedup_conjugacy: bool = False, budget: int | None = None
+    n: int, k: int, dedup_conjugacy: bool = False, budget: int = PERM_SEARCH_BUDGET
 ) -> list[PermRep]:
     """All (n-1)-tuples of permutations of k symbols obeying the relations.
 

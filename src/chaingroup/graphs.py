@@ -232,7 +232,12 @@ def canonical_key(g: ActionGraph) -> tuple:
     return min(_encodings(g))
 
 
-def brute_enumerate(m: int, budget: int = 8) -> list[ActionGraph]:
+# The brute-force search's default edge budget; CHAINGROUP_BUDGET overrides it
+# on the command line.
+BRUTE_BUDGET = 8
+
+
+def brute_enumerate(m: int, budget: int = BRUTE_BUDGET) -> list[ActionGraph]:
     """All connected m-edge graphs with an edge-transitive cyclic action.
 
     Exhaustive search from first principles: a transitive edge action makes

@@ -11,9 +11,9 @@ Python 3.11) a twist product takes about 15 us and a triple recovery,
 monodromy representation or chain square 0.3-0.5 ms. M_i = T_{c_i}^eps V
 differs from its direction V by a rank-one matrix, so the recovery of
 (chain, sign, direction) reads the classes off the columns of M_i - V, with
-no inverse and no square root. The formal central twist vectors
-(CentralExtElement) form a direct product with the matrices, so lift_adjust
-corrects braid defects by moving twists, again with no inverse.
+no inverse and no square root. A lifted generator pairs a matrix with a
+formal vector of central boundary twists in their direct product, so
+lift_adjust corrects braid defects by moving twists, again with no inverse.
 """
 
 from __future__ import annotations
@@ -91,6 +91,7 @@ class NotRecognized:
 
 CYCLIC = CyclicVerdict()
 NOT_RECOGNIZED = NotRecognized()
+Lift = tuple[Matrix, Vector]  # a square matrix and a central twist vector
 
 
 def standard_lattice(g: int) -> SkewLattice:
@@ -293,67 +294,41 @@ def extract_triple(
     return NOT_RECOGNIZED
 
 
-class CentralExtElement(Record):
-    """A square integer matrix with a formal central boundary-twist vector.
-
-    Multiplication multiplies matrices and adds twist vectors, so the group
-    is a direct product and the twist part commutes with everything by
-    construction. Construction checks only that the matrix is square with
-    at least one row; lift_adjust tests invertibility, and nothing here
-    tests pairing preservation.
-    """
-
-    mat: Matrix
-    twist: Vector
-
-    def __post_init__(self):
-        object.__setattr__(self, "mat", intmat.as_matrix(self.mat))
-        if not self.mat or any(len(row) != len(self.mat) for row in self.mat):
-            raise ValueError("matrix part must be square with at least one row")
-        object.__setattr__(self, "twist", tuple(int(x) for x in self.twist))
-
-    def __mul__(self, other: CentralExtElement) -> CentralExtElement:
-        if len(self.twist) != len(other.twist):
-            raise ValueError("twist vectors have different lengths")
-        return CentralExtElement(
-            intmat.mat_mul(self.mat, other.mat),
-            tuple(a + b for a, b in zip(self.twist, other.twist)),
-        )
-
-
-def lift_adjust(lifts: Sequence[CentralExtElement]) -> list[CentralExtElement]:
+def lift_adjust(lifts: Sequence[Lift]) -> list[Lift]:
     """Correct braid-relation defects of lifted generators by central factors.
 
-    The extension is a direct product, so the defect of adjacent lifts a, b
-    is W = (aba)(bab)^{-1} = (M(aba) M(bab)^{-1}, t_a - t_b): it is central
-    exactly when M(aba) = M(bab), given that M(bab) is invertible over the
-    integers, and the product W_1 ... W_{i-1} has twist t_1 - t_i. So
-    A_i W_1 ... W_{i-1} is (M_i, t_1): every lift keeps its matrix and takes
-    the first twist, and no inverse is formed. Already-exact input is
-    returned unchanged.
+    The extension is the direct product of the matrices and the twist
+    vectors, so the defect of adjacent lifts a, b is W = (aba)(bab)^{-1} =
+    (M(aba) M(bab)^{-1}, t_a - t_b): it is central exactly when
+    M(aba) = M(bab), given that M(bab) is invertible over the integers, and
+    the product W_1 ... W_{i-1} has twist t_1 - t_i. So A_i W_1 ... W_{i-1}
+    is (M_i, t_1): every lift keeps its matrix and takes the first twist,
+    and no inverse is formed. The output's relations are the matrix
+    identities checked here, so they are not checked again. Already-exact
+    input is returned unchanged.
     """
     from . import finite
 
-    lifts = list(lifts)
-    if len(lifts) < 2:
-        return lifts
+    lifts = [(intmat.as_matrix(m), tuple(map(int, t))) for m, t in lifts]
+    for m, _ in lifts:
+        if not m or any(len(row) != len(m) for row in m):
+            raise ValueError("matrix part must be square with at least one row")
     for i in range(len(lifts) - 1):
-        a, b = lifts[i], lifts[i + 1]
-        aba, bab = a * b * a, b * a * b
-        if finite.smith_normal_form(bab.mat).cardinality() != 1:
+        (a, s), (b, t) = lifts[i], lifts[i + 1]
+        if len(s) != len(t):
+            raise ValueError("twist vectors have different lengths")
+        aba = intmat.mat_mul(intmat.mat_mul(a, b), a)
+        bab = intmat.mat_mul(intmat.mat_mul(b, a), b)
+        if finite.smith_normal_form(bab).cardinality() != 1:
             raise ValueError("matrix part is not invertible over the integers")
-        if aba.mat != bab.mat:
+        if aba != bab:
             raise ValueError(f"braid defect at position {i + 1} is not central")
-    for i in range(len(lifts)):
+    for i, (a, _) in enumerate(lifts):
         for j in range(i + 2, len(lifts)):
-            if lifts[i] * lifts[j] != lifts[j] * lifts[i]:
+            b = lifts[j][0]
+            if intmat.mat_mul(a, b) != intmat.mat_mul(b, a):
                 raise ValueError(f"distant generators {i + 1},{j + 1} do not commute")
-    out = [CentralExtElement(e.mat, lifts[0].twist) for e in lifts]
-    for i in range(len(out) - 1):
-        a, b = out[i], out[i + 1]
-        if a * b * a != b * a * b:
-            raise RuntimeError(f"adjustment left a braid defect at position {i + 1}")
-    return out
+    return [(m, lifts[0][1]) for m, _ in lifts]
 
 
 def parse_matrix(text: str, source: str = "matrix") -> Matrix:

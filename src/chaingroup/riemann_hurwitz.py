@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from . import Record
+from . import PRINT_MAX_BITS, Record
 
 
 class RamificationData(Record):
@@ -40,17 +40,37 @@ def rh_check(d: RamificationData) -> bool:
     return d.chi_total + sum(d.m - o for o in d.branch) == d.m * d.chi_quotient
 
 
+# At this bound the longest listing, one target of 256 with m = 12, has 5242
+# branch data (0.47 MB) and takes about 0.25 s; at 512 it has 71 322 and takes
+# 5.5 s (subprocess, 2 x86_64 cores, Python 3.11).
+RH_ENUM_MAX_TARGET = 256
+
+
 def rh_enumerate(
     chi_total: int, m: int, quotient_chis: Sequence[int]
 ) -> list[RamificationData]:
     """All branch multisets solving the covering equation for an allowed
-    quotient characteristic. Output sorted, each datum passing rh_check."""
+    quotient characteristic. Output sorted, each datum passing rh_check.
+
+    Each quotient characteristic chi_q leaves a target m*chi_q - chi to
+    split into deficits m - o. Inputs whose nonnegative targets sum to more
+    than RH_ENUM_MAX_TARGET are refused before anything is listed, and only
+    the deficits up to the largest target are formed, so the work is
+    bounded for every m.
+    """
     if m < 1:
         raise ValueError("group order must be positive")
-    deficits = sorted({m - o for o in range(1, m) if m % o == 0})
+    targets = {chi_q: m * chi_q - chi_total for chi_q in set(quotient_chis)}
+    total = sum(t for t in targets.values() if t > 0)
+    if total > RH_ENUM_MAX_TARGET:
+        raise ValueError(
+            f"targets m*chi_q - chi sum to {total}, more than the {RH_ENUM_MAX_TARGET} allowed"
+        )
+    top = max(targets.values(), default=0)
+    deficits = sorted({m - o for o in range(max(1, m - top), m) if m % o == 0})
     out = []
-    for chi_q in sorted(set(quotient_chis)):
-        target = m * chi_q - chi_total
+    for chi_q in sorted(targets):
+        target = targets[chi_q]
         if target < 0:
             continue
         if target == 0:
@@ -141,16 +161,11 @@ class Section5Report(Record):
     kernel_exceeds_bound: bool
 
 
-# The report prints 3*d*m^(r-2) and 12r - 12 in decimal; 14 000 bits is at
-# most 4215 digits, inside the interpreter's 4300-digit str() limit.
-AUDIT5_MAX_BITS = 14_000
-
-
 def section5_audit(r: int, m: int, d: int) -> Section5Report:
     """Evaluate the periodic and pseudo-Anosov contradiction inequalities.
 
     Refuses, before any power is computed, inputs whose report would hold a
-    number of more than AUDIT5_MAX_BITS bits. As m <= 2^bitlen(m - 1), the
+    number of more than PRINT_MAX_BITS bits. As m <= 2^bitlen(m - 1), the
     kernel bound 3*d*m^(r-2) has at most bitlen(3d) + (r-2)*bitlen(m - 1)
     bits.
     """
@@ -159,8 +174,8 @@ def section5_audit(r: int, m: int, d: int) -> Section5Report:
     if m % d != 0:
         raise ValueError("d must divide m")
     bits = max((3 * d).bit_length() + (r - 2) * (m - 1).bit_length(), (12 * r).bit_length())
-    if bits > AUDIT5_MAX_BITS:
-        raise ValueError(f"report numbers would exceed {AUDIT5_MAX_BITS} bits")
+    if bits > PRINT_MAX_BITS:
+        raise ValueError(f"report numbers would exceed {PRINT_MAX_BITS} bits")
     card = d * m ** (r - 2)
     kernel = 3 * card
     chi_bound = 6 * (2 * r - 2)

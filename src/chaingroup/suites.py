@@ -134,7 +134,7 @@ def noncyclic_exists(reps: list[finite.PermRep]) -> bool:
 
 
 def suite_perm(budget: int) -> Items:
-    """Braid-relation permutation tuples; symbol counts above min(budget, 6) skip.
+    """Braid-relation permutation tuples; symbol counts above the budget skip.
 
     Every tuple is conjugate to one whose first image is the least
     permutation of its cycle type, and each predicate is invariant under
@@ -142,7 +142,6 @@ def suite_perm(budget: int) -> Items:
     """
     from . import finite
 
-    budget = min(budget, 6)
     cases = [(5, k, all_cyclic, f"n=5 k={k} all-cyclic") for k in range(1, 5)]
     cases += [(6, k, all_cyclic, f"n=6 k={k} all-cyclic") for k in range(1, 6)]
     cases += [

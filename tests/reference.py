@@ -36,10 +36,11 @@ which multiplies out only the braid relations of adjacent classes: it also
 multiplies out every distant pair's commutator.
 
 The lift by inverses is the reference for homology.lift_adjust, which reads
-the correction off the direct-product structure: it forms each braid defect
+the correction off the direct-product structure: it multiplies lifts
+(matrix, twist) with a product of its own, forms each braid defect
 W_i = (A_i A_{i+1} A_i)(A_{i+1} A_i A_{i+1})^{-1} with an echelon inverse,
-requires its matrix part to be the identity, and multiplies A_i by
-W_1 ... W_{i-1}.
+requires its matrix part to be the identity, multiplies A_i by
+W_1 ... W_{i-1}, and checks the relations of the result.
 
 The 2r x r relation rows of the abelian quotient L(r, M, m, d, s), one row
 per relation on Z^r, are the reference for chaingroup.finite.ln_group, which
@@ -490,51 +491,54 @@ def extract_triple_by_inverses(lat: homology.SkewLattice, ms: Sequence[Matrix]):
 # --------------------------------------------------- lift by inverses ----
 
 
-def _ext_inverse(e: homology.CentralExtElement) -> homology.CentralExtElement:
-    inv = int_inverse(e.mat)
+def lift_mul(a: homology.Lift, b: homology.Lift) -> homology.Lift:
+    """The product of two lifts (matrix, twist) in the direct product:
+    matrices multiply and twist vectors add."""
+    if len(a[1]) != len(b[1]):
+        raise ValueError("twist vectors have different lengths")
+    return intmat.mat_mul(a[0], b[0]), tuple(x + y for x, y in zip(a[1], b[1]))
+
+
+def _lift_inverse(lift: homology.Lift) -> homology.Lift:
+    inv = int_inverse(lift[0])
     if inv is None:
         raise ValueError("matrix part is not invertible over the integers")
-    return homology.CentralExtElement(inv, tuple(-x for x in e.twist))
+    return inv, tuple(-x for x in lift[1])
 
 
-def _ext_is_central(e: homology.CentralExtElement) -> bool:
-    """Central for the extension: trivial matrix part, any twist."""
-    return e.mat == intmat.identity(len(e.mat))
-
-
-def lift_adjust_by_inverses(
-    lifts: Sequence[homology.CentralExtElement],
-) -> list[homology.CentralExtElement]:
+def lift_adjust_by_inverses(lifts: Sequence[homology.Lift]) -> list[homology.Lift]:
     """Correct braid-relation defects as homology.lift_adjust does.
 
-    With W_i = (A_i A_{i+1} A_i)(A_{i+1} A_i A_{i+1})^{-1} central for every
-    i, the sequence A_1, A_i W_1 ... W_{i-1} satisfies all relations exactly.
-    Already-exact input is returned unchanged.
+    With W_i = (A_i A_{i+1} A_i)(A_{i+1} A_i A_{i+1})^{-1} central, that is
+    with identity matrix part, for every i, the sequence A_1,
+    A_i W_1 ... W_{i-1} satisfies all relations exactly, which is checked
+    again here. Already-exact input is returned unchanged.
     """
-    lifts = list(lifts)
+    lifts = [(intmat.as_matrix(m), tuple(map(int, t))) for m, t in lifts]
+    for m, _ in lifts:
+        if not m or any(len(row) != len(m) for row in m):
+            raise ValueError("matrix part must be square with at least one row")
     if len(lifts) < 2:
         return lifts
     defects = []
     for i in range(len(lifts) - 1):
         a, b = lifts[i], lifts[i + 1]
-        w = (a * b * a) * _ext_inverse(b * a * b)
-        if not _ext_is_central(w):
+        w = lift_mul(lift_mul(lift_mul(a, b), a), _lift_inverse(lift_mul(lift_mul(b, a), b)))
+        if w[0] != intmat.identity(len(w[0])):
             raise ValueError(f"braid defect at position {i + 1} is not central")
         defects.append(w)
     for i in range(len(lifts)):
         for j in range(i + 2, len(lifts)):
-            if lifts[i] * lifts[j] != lifts[j] * lifts[i]:
+            if lift_mul(lifts[i], lifts[j]) != lift_mul(lifts[j], lifts[i]):
                 raise ValueError(f"distant generators {i + 1},{j + 1} do not commute")
     out = [lifts[0]]
-    acc = homology.CentralExtElement(
-        intmat.identity(len(lifts[0].mat)), (0,) * len(lifts[0].twist)
-    )
+    acc = intmat.identity(len(lifts[0][0])), (0,) * len(lifts[0][1])
     for i in range(1, len(lifts)):
-        acc = acc * defects[i - 1]
-        out.append(lifts[i] * acc)
+        acc = lift_mul(acc, defects[i - 1])
+        out.append(lift_mul(lifts[i], acc))
     for i in range(len(out) - 1):
         a, b = out[i], out[i + 1]
-        if a * b * a != b * a * b:
+        if lift_mul(lift_mul(a, b), a) != lift_mul(lift_mul(b, a), b):
             raise RuntimeError(f"adjustment left a braid defect at position {i + 1}")
     return out
 

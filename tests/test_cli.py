@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -280,6 +282,34 @@ class TestLnCommands:
         )
         assert (code, out) == (2, "") and "at most 200 generators" in err
 
+    def test_card_refuses_an_order_it_cannot_print(self, capsys, monkeypatch):
+        """Valid parameters of order 10^11940 are refused from bit lengths,
+        before the 3 x 2 Smith normal form."""
+        big = str(10**60)
+        monkeypatch.setattr("chaingroup.finite.smith_normal_form", None)
+        code, out, err = run(
+            capsys, "ln", "card", "--r", "200", "--M", big, "--m", big, "--d", "1", "--s", "0"
+        )
+        bound = chaingroup.PRINT_MAX_BITS
+        assert (code, out, err) == (2, "", f"error: quotient order would exceed {bound} bits\n")
+
+    @pytest.mark.parametrize("j, code", [(70, 0), (71, 2)])
+    def test_card_at_the_print_bound(self, capsys, j, code):
+        """M = m = 2^j on 200 generators: order 2^(199j), of 13 931 bits at
+        j = 70 and 14 130 at j = 71."""
+        m = str(2**j)
+        got, out, _ = run(capsys, "ln", "card", "--r", "200", "--M", m, "--m", m, "--d", "1",
+                          "--s", "0")
+        assert got == code
+        assert out.splitlines()[:1] == ([str(2 ** (199 * j))] if code == 0 else [])
+
+    def test_snf_refuses_factors_it_cannot_print(self, capsys, monkeypatch):
+        """diag(10^3000 + 1, 10^3000 + 3) has the factor of 6001 digits."""
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{10**3000 + 1} 0\n0 {10**3000 + 3}\n"))
+        code, out, err = run(capsys, "ln", "snf", "-")
+        bound = chaingroup.PRINT_MAX_BITS
+        assert (code, out, err) == (2, "", f"error: invariant factors exceed {bound} bits\n")
+
     def test_snf(self, capsys, tmp_path):
         path = tmp_path / "rows.txt"
         path.write_text("2 0\n0 3\n")
@@ -348,6 +378,23 @@ class TestPermCommand:
         code, out, _ = run(capsys, "perm", "enum", "--n", "4", "--k", "4", *flags)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.ENUM_DIGESTS[flags]
+
+
+    @pytest.mark.parametrize(
+        "constant, argv, message",
+        [("finite.PERM_SEARCH_BUDGET", ("perm", "enum", "--n", "4", "--k", "4", "--summary"),
+          "symbol count 4 exceeds the search budget 3"),
+         ("graphs.BRUTE_BUDGET", ("graph", "brute", "--m", "4"),
+          "edge count 4 exceeds the enumeration budget 3")],
+        ids=["perm", "graph"],
+    )
+    def test_default_budget_is_the_library_default(self, capsys, monkeypatch, constant, argv,
+                                                   message):
+        """Without CHAINGROUP_BUDGET a search runs at its library module's default."""
+        monkeypatch.delenv("CHAINGROUP_BUDGET", raising=False)
+        monkeypatch.setattr(f"chaingroup.{constant}", 3)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestBudgetEdges:
@@ -502,6 +549,20 @@ class TestRhCommands:
     def test_enum(self, capsys):
         code, out, _ = run(capsys, "rh", "enum", "--chi", "-2", "--m", "2", "--chiqs", "2")
         assert code == 0 and out.splitlines()[0] == "count=1"
+
+    def test_enum_refuses_before_listing(self, capsys, monkeypatch):
+        """15 238 branch data, refused before the first is built."""
+        monkeypatch.setattr("chaingroup.riemann_hurwitz.RamificationData", None)
+        code, out, err = run(capsys, "rh", "enum", "--chi=-600", "--m", "72", "--chiqs=2")
+        assert (code, out, err) == (
+            2, "", "error: targets m*chi_q - chi sum to 744, more than the 256 allowed\n"
+        )
+
+    @pytest.mark.parametrize("chi, code", [(-256, 0), (-257, 2)])
+    def test_enum_at_the_bound(self, capsys, chi, code):
+        got, out, _ = run(capsys, "rh", "enum", f"--chi={chi}", "--m", "2", "--chiqs=0")
+        assert got == code
+        assert out.splitlines()[:1] == (["count=1"] if code == 0 else [])
 
     def test_check_empty_branch_means_no_branch_points(self, capsys):
         code, out, _ = run(capsys, "rh", "check", "--chi", "0", "--m", "4", "--branch=",
@@ -825,3 +886,48 @@ def test_help_and_usage_errors_are_pinned(case):
     assert (done.returncode, done.stdout, done.stderr) == (
         case["code"], case["stdout"], case["stderr"]
     )
+
+
+README = Path(__file__).parent.parent / "README.md"
+# The answers that the README's command-line examples quote in their comments;
+# an answer followed by " ..." is a prefix of the first output line.
+README_ANSWERS = ("equal", "n=6 1 2 1 3 2 1", "27", "count=12 cyclic=6 noncyclic=6", "infeasible")
+
+
+def _readme_examples():
+    """(argv, comment) of each `chaingroup ...` line of the sh block under the
+    README's "Command line" heading."""
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        if argv[:1] == ["chaingroup"]:
+            examples.append((argv[1:], comment.strip()))
+    return examples
+
+
+def _quoted_answer(comment):
+    """The comment without its "(exit N)" note."""
+    return re.sub(r"\s*\(exit \d+\)", "", comment)
+
+
+@pytest.mark.parametrize("argv, comment", [pytest.param(*example, id=" ".join(example[0][:2]))
+                                           for example in _readme_examples()])
+def test_readme_example(capsys, monkeypatch, argv, comment):
+    """Each example exits as its comment says (0 unless "(exit N)"), and
+    prints the answer its comment quotes."""
+    monkeypatch.delenv("CHAINGROUP_BUDGET", raising=False)
+    code, out, _ = run(capsys, *argv)
+    noted = re.search(r"\(exit (\d+)\)", comment)
+    assert code == (int(noted.group(1)) if noted else 0)
+    answer = _quoted_answer(comment)
+    if answer.removesuffix(" ...") in README_ANSWERS:
+        first = out.splitlines()[0]
+        assert first.startswith(answer[:-4]) if answer.endswith(" ...") else first == answer
+
+
+def test_readme_quotes_every_answer():
+    quoted = [_quoted_answer(c).removesuffix(" ...") for _, c in _readme_examples()]
+    assert sorted(a for a in quoted if a in README_ANSWERS) == sorted(README_ANSWERS)

@@ -9,7 +9,6 @@ from chaingroup.homology import (
     _require_chain,
     CYCLIC,
     NOT_RECOGNIZED,
-    CentralExtElement,
     CurveClass,
     CyclicVerdict,
     TransvectionTriple,
@@ -35,6 +34,7 @@ from reference import (
     extract_triple_by_inverses,
     kernel_basis,
     lift_adjust_by_inverses,
+    lift_mul,
     monodromy_rep_all_pairs,
     negated,
 )
@@ -596,29 +596,26 @@ def _random_direction(lat, chain, rng):
     return transvection_matrix(lat, u, rng.choice([1, -1]))
 
 
-def _elem(mat, twist):
-    return CentralExtElement(mat, twist)
-
-
 class TestCentralExtension:
     @pytest.mark.parametrize("mat", [((1, 2),), ((1,), (0,)), (), ((1, 0), (0,))])
     def test_square_matrix_required(self, mat):
         with pytest.raises(ValueError, match="square"):
-            _elem(mat, ())
+            lift_adjust([(mat, ())])
 
     def test_multiplication_adds_twists(self):
+        """The reference's product of lifts, which the lift by inverses uses."""
         lat = standard_lattice(1)
         m = transvection_matrix(lat, CurveClass((1, 0)), 1)
-        a = _elem(m, (1, 0))
-        b = _elem(intmat.identity(2), (0, 2))
-        assert (a * b).twist == (1, 2)
+        a = (m, (1, 0))
+        b = (intmat.identity(2), (0, 2))
+        assert lift_mul(a, b) == (m, (1, 2))
 
 
 class TestLiftAdjust:
     def _exact_lifts(self, g=2, k=3):
         lat = standard_lattice(g)
         rep = monodromy_rep(lat, build_chain(lat, k), 1)
-        return [CentralExtElement(m, (0, 0)) for m in rep]
+        return [(m, (0, 0)) for m in rep]
 
     def test_exact_input_unchanged(self):
         lifts = self._exact_lifts()
@@ -631,23 +628,20 @@ class TestLiftAdjust:
 
     def test_single_perturbed_twist_corrected(self):
         lifts = self._exact_lifts(g=3, k=4)
-        z = CentralExtElement(intmat.identity(6), (5, 0))
-        perturbed = [lifts[0], lifts[1] * z, lifts[2], lifts[3]]
+        z = (intmat.identity(6), (5, 0))
+        perturbed = [lifts[0], lift_mul(lifts[1], z), lifts[2], lifts[3]]
         fixed = lift_adjust(perturbed)
         for i in range(len(fixed) - 1):
             a, b = fixed[i], fixed[i + 1]
-            assert a * b * a == b * a * b
+            assert lift_mul(lift_mul(a, b), a) == lift_mul(lift_mul(b, a), b)
         for i in range(len(fixed)):
             for j in range(i + 2, len(fixed)):
-                assert fixed[i] * fixed[j] == fixed[j] * fixed[i]
+                assert lift_mul(fixed[i], fixed[j]) == lift_mul(fixed[j], fixed[i])
 
     def test_matrix_level_defect_rejected(self):
         lat = standard_lattice(2)
         m = transvection_matrix(lat, CurveClass((1, 0, 0, 0)), 1)
-        lifts = [
-            CentralExtElement(m, (0,)),
-            CentralExtElement(intmat.identity(4), (0,)),
-        ]
+        lifts = [(m, (0,)), (intmat.identity(4), (0,))]
         with pytest.raises(ValueError):
             lift_adjust(lifts)
 
@@ -698,7 +692,7 @@ class TestLiftAdjustAgainstInverses:
             mats[i] = [[-x for x in row] for row in mats[i]]
         elif kind == "random":
             mats[i] = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
-        lifts = [CentralExtElement(m, tw) for m, tw in zip(mats, twists)]
+        lifts = list(zip(mats, twists))
         assert _outcome(lift_adjust, lifts) == _outcome(lift_adjust_by_inverses, lifts)
 
 
@@ -728,11 +722,11 @@ class TestTextFormats:
         min_size=1, max_size=4,
     ))
     def test_elements_round_trip(self, blocks):
-        """Lift elements, the empty twist vector among them, survive
+        """Lifts, the empty twist vector among them, survive
         formatting and parsing."""
-        elements = [CentralExtElement(m, tw) for m, tw in blocks]
-        text = "\n\n".join(homology_cmd._format_element(e) for e in elements)
-        assert homology_cmd._parse_elements(text) == elements
+        lifts = [(intmat.as_matrix(m), tuple(tw)) for m, tw in blocks]
+        text = "\n\n".join(homology_cmd._format_element(e) for e in lifts)
+        assert homology_cmd._parse_elements(text) == lifts
 
     def test_chain_round_trip(self):
         """The printed vectors are the chain's classes, in order."""

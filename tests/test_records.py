@@ -11,7 +11,7 @@ import pytest
 from chaingroup.braids import BraidWord
 from chaingroup.finite import AbelianInvariants, LnParams, PermRep
 from chaingroup.graphs import ActionGraph, GenusAuditReport, TypeA, TypeB
-from chaingroup.homology import CentralExtElement, CurveClass, SkewLattice, TransvectionTriple
+from chaingroup.homology import CurveClass, SkewLattice, TransvectionTriple
 from chaingroup.homs import BraidHom
 from chaingroup.riemann_hurwitz import OrderBounds, RamificationData, Section5Report
 
@@ -28,8 +28,6 @@ CASES = [
      dict(chain=(CurveClass((1, 0)), CurveClass((0, 1))), epsilon=-1, direction=((1, 0), (0, 1))),
      "TransvectionTriple(chain=(CurveClass(v=(1, 0)), CurveClass(v=(0, 1))), epsilon=-1,"
      " direction=((1, 0), (0, 1)))"),
-    (CentralExtElement, dict(mat=[[1, 0], [0, 1]], twist=[2, -1]),
-     "CentralExtElement(mat=((1, 0), (0, 1)), twist=(2, -1))"),
     (LnParams, dict(r=3, M=3, m=3, d=3, s=9), "LnParams(r=3, M=3, m=3, d=3, s=9)"),
     (AbelianInvariants, dict(factors=(2, 4), free_rank=1),
      "AbelianInvariants(factors=(2, 4), free_rank=1)"),

@@ -66,6 +66,35 @@ class TestRhEnumerate:
         for d in rh_enumerate(chi, m, chis):
             assert rh_check(d)
 
+    def test_against_exhaustive_scan_for_small_orders(self):
+        """The sizes the CLI workloads draw: m 1-12, chi -8..-2, chi_q -2..1."""
+        chis = [-2, -1, 0, 1]
+        for m in range(1, 13):
+            divisors = [o for o in range(1, m) if m % o == 0]
+            for chi in range(-8, -1):
+                expected = set()
+                for chi_q in chis:
+                    target = m * chi_q - chi
+                    for length in range(0, target + 1 if divisors else 1):
+                        for combo in itertools.combinations_with_replacement(divisors, length):
+                            if chi + sum(m - o for o in combo) == m * chi_q:
+                                expected.add((combo, chi_q))
+                got = {(d.branch, d.chi_quotient) for d in rh_enumerate(chi, m, chis)}
+                assert got == expected, (chi, m)
+
+    def test_deficits_up_to_the_largest_target(self):
+        """Only deficits m - o up to the largest target m*chi_q - chi are
+        formed; a deficit equal to it still counts."""
+        assert rh_enumerate(-6, 10**6, [0, -1]) == []
+        assert rh_enumerate(-2, 4, [0]) == [RamificationData(-2, 4, (2,), 0)]
+        assert rh_enumerate(-100, 200, [-1, 0]) == [RamificationData(-100, 200, (100,), 0)]
+
+    def test_targets_are_bounded_by_their_sum(self):
+        """Targets 128 and 256 are each admitted, and refused together."""
+        assert len(rh_enumerate(-128, 2, [0])) == len(rh_enumerate(-128, 2, [64])) == 1
+        with pytest.raises(ValueError, match="sum to 384, more than the 256 allowed"):
+            rh_enumerate(-128, 2, [0, 64])
+
 
 class TestOrderBounds:
     def test_closed_genus_two(self):
