@@ -13,6 +13,7 @@ permutation search and the graph actions both read, so that graph calls do
 not load chaingroup.finite.
 """
 
+import sys
 from collections.abc import Iterable, Sequence
 
 # Answers print numbers in decimal, none of more than this many bits: 14 000
@@ -83,11 +84,21 @@ class Record:
 
 
 def parse_int(token: str, source: str) -> int:
-    """An integer token of outside input; ValueError names the source and the token."""
+    """An integer token of outside input; ValueError names the source and the
+    token, or the digit count of an integer past the interpreter's limit. A
+    token of more than 32 characters shows as its first 24 and its length."""
     try:
         return int(token)
     except ValueError:
-        raise ValueError(f"{source}: {token!r} is not an integer") from None
+        pass
+    import re
+
+    if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", token):
+        digits = sum(ch.isdigit() for ch in token)
+        raise ValueError(f"{source}: integer has too many digits ({digits}, at most "
+                         f"{sys.get_int_max_str_digits()})")
+    shown = repr(token) if len(token) <= 32 else f"{token[:24]!r}... ({len(token)} characters)"
+    raise ValueError(f"{source}: {shown} is not an integer")
 
 
 def parse_ints(tokens: Iterable[str], source: str) -> tuple[int, ...]:

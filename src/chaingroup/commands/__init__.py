@@ -63,11 +63,24 @@ def _budget(default: int) -> int:
     return default if raw is None else parse_int(raw, "CHAINGROUP_BUDGET")
 
 
+# File-based subcommands read at most this many characters (bytes, for ASCII
+# input). The largest input tier-1 feeds is 8449 characters (an `ln snf`
+# matrix past the side cap), perfbench's cli-calls 6383 (`homology extract`),
+# and the suites read none.
+INPUT_MAX_BYTES = 4 * 1024 * 1024
+
+
 def _read_input(path: str) -> str:
+    """The text of the file at path, or of stdin for '-', refused past
+    INPUT_MAX_BYTES characters."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        text = sys.stdin.read(INPUT_MAX_BYTES + 1)
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read(INPUT_MAX_BYTES + 1)
+    if len(text) > INPUT_MAX_BYTES:
+        raise ValueError(f"input exceeds {INPUT_MAX_BYTES} characters")
+    return text
 
 
 def _word(n: int, text: str, source: str) -> braids.BraidWord:

@@ -7,14 +7,15 @@ exactly two shapes: a single vertex orbit with edges stepping by a residue
 coprime to the vertex count, or two coprime vertex orbits with every edge
 joining them. classify/generate convert between a graph and its shape
 parameters, brute_enumerate rebuilds all shapes from scratch as a
-cross-check, and genus_audit runs the curve-count bounds for a graph whose
-vertices stand for complementary subsurfaces.
+cross-check, keeping one graph per canonical_key (two walks per edge cycle),
+and genus_audit runs the curve-count bounds for a graph whose vertices stand
+for complementary subsurfaces.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import Record, cycles, parse_int, parse_ints
 
@@ -182,54 +183,38 @@ def classify(g: ActionGraph) -> GraphClass:
     return TypeB(k, l, mult)
 
 
-def _encodings(g: ActionGraph) -> Iterator[tuple]:
-    """All structure-respecting encodings of the pair (graph, action).
-
-    An isomorphism of pairs must conjugate the edge m-cycle to itself, so it
-    rotates edge labels; vertex names are then forced up to the order choice
-    when both endpoints of an edge are new. Enumerating every rotation and
-    every such order choice yields the full encoding orbit, whose minimum is
-    a canonical key. The action (vperm, eperm) is itself an isomorphism of
-    the pair: it maps the encodings of the rotation starting at edge r one
-    to one onto those of the rotation starting at eperm[r]. So one starting
-    edge per cycle of eperm yields every encoding of the orbit.
-    """
-    m = g.num_edges
-    for r in [cyc[0] for cyc in cycles(g.eperm)]:
-        order = []
-        j = r
-        for _ in range(m):
-            order.append(g.edges[j])
-            j = g.eperm[j]
-
-        def rec(idx: int, names: dict[int, int], acc: list[tuple[int, int]]):
-            if idx == m:
-                if len(names) == g.num_vertices:
-                    vperm_named = [0] * g.num_vertices
-                    for orig, new in names.items():
-                        vperm_named[new] = names[g.vperm[orig]]
-                    yield (g.num_vertices, tuple(acc), tuple(vperm_named))
-                return
-            u, w = order[idx]
-            orderings = [(u, w)] if (u == w or u in names or w in names) else [(u, w), (w, u)]
-            for a, b in orderings:
-                added = []
-                for x in (a, b):
-                    if x not in names:
-                        names[x] = len(names)
-                        added.append(x)
-                acc.append(tuple(sorted((names[u], names[w]))))
-                yield from rec(idx + 1, names, acc)
-                acc.pop()
-                for x in added:
-                    del names[x]
-
-        yield from rec(0, {}, [])
-
-
 def canonical_key(g: ActionGraph) -> tuple:
-    """Isomorphism invariant of the pair (graph, action)."""
-    return min(_encodings(g))
+    """Isomorphism invariant of the pair (graph, action): the least encoding
+    (vertex count, edges, vertex permutation) over walks that name every
+    vertex; ValueError when no walk does.
+
+    A walk starts at the first edge of a cycle of eperm, its ends in one of
+    their two orders (a, b), and takes m steps (a, b) <- (vperm[a], vperm[b]),
+    naming a then b by first appearance. The action carries edge j's ends onto
+    edge eperm[j]'s, so the first order fixes all later ones, and maps the walk
+    from edge r onto the one from eperm[r]: one start per cycle reaches every
+    encoding. An isomorphism of pairs maps walks onto walks.
+    """
+    n, m = g.num_vertices, g.num_edges
+    encodings = []
+    for cyc in cycles(g.eperm):
+        u0, w0 = g.edges[cyc[0]]
+        for a, b in {(u0, w0), (w0, u0)}:
+            names: dict[int, int] = {}
+            edges = []
+            for _ in range(m):
+                names.setdefault(a, len(names))
+                names.setdefault(b, len(names))
+                edges.append((min(names[a], names[b]), max(names[a], names[b])))
+                a, b = g.vperm[a], g.vperm[b]
+            if len(names) == n:
+                vperm_named = [0] * n
+                for orig, new in names.items():
+                    vperm_named[new] = names[g.vperm[orig]]
+                encodings.append((n, tuple(edges), tuple(vperm_named)))
+    if not encodings:
+        raise ValueError("no walk along the edge cycles names every vertex")
+    return min(encodings)
 
 
 # The brute-force search's default edge budget; CHAINGROUP_BUDGET overrides it

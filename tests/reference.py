@@ -60,8 +60,11 @@ and conjugates: it scans the whole class for the braid partners of every
 image it reaches, and composes to test each commutation.
 
 The all-rotations canonical key is the reference for
-chaingroup.graphs.canonical_key, which starts one rotation per cycle of the
-edge permutation: it starts one at every edge.
+chaingroup.graphs.canonical_key, which walks twice per cycle of the edge
+permutation, once for each order of the first edge's ends, and lets the
+action carry that order along the walk: the reference walks from every
+edge and backtracks over both orders of every edge that brings two new
+vertices.
 
 Not a test module: pytest does not collect it, the test modules import it.
 """

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import chaingroup
-from chaingroup import graphs, homology, homs, intmat, suites
+from chaingroup import commands, graphs, homology, homs, intmat, suites
 from chaingroup.cli import dispatch
 from chaingroup.commands import braid as braid_cmd, graph as graph_cmd, hom as hom_cmd
 from chaingroup.commands import homology as homology_cmd, ln as ln_cmd, perm as perm_cmd
@@ -705,6 +705,38 @@ class TestUsageErrors:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message} is not an integer\n")
+
+    @pytest.mark.parametrize(
+        "argv, stdin, message",
+        [(("ln", "snf", "-"), "1 " + "7" * 5000 + "\n",
+          "row 1: integer has too many digits (5000, at most 4300)"),
+         (("ln", "snf", "-"), "1\n2 " + "x" * 100_000 + "\n",
+          "row 2: 'xxxxxxxxxxxxxxxxxxxxxxxx'... (100000 characters) is not an integer"),
+         (("homology", "lift", "-"), "rank=1\n" + "7" * 5000 + "\ntwist=0\n",
+          "matrix 1, row 1: integer has too many digits (5000, at most 4300)"),
+         (("homology", "lift", "-"), "rank=1\n1\ntwist=0\n\nrank=1\n" + "x" * 100_000 + "\n",
+          "matrix 2, row 1: 'xxxxxxxxxxxxxxxxxxxxxxxx'... (100000 characters) is not an integer")],
+        ids=["snf-digits", "snf-junk", "lift-digits", "lift-junk"],
+    )
+    def test_long_token_gives_a_short_message(self, capsys, monkeypatch, argv, stdin, message):
+        """A token past the interpreter's 4300-digit limit is named as too long,
+        and a long malformed one is cut to its first characters and length."""
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_input_at_the_size_bound(self, capsys, monkeypatch, extra):
+        """Stdin of INPUT_MAX_BYTES characters is parsed as today; one more
+        character is refused before any parsing."""
+        bound = commands.INPUT_MAX_BYTES
+        monkeypatch.setattr("sys.stdin", io.StringIO("2" + " " * (bound - 1 + extra)))
+        got = run(capsys, "ln", "snf", "-")
+        if extra:
+            assert got == (2, "", f"error: input exceeds {bound} characters\n")
+        else:
+            assert got == (0, "factors=2\nfree_rank=0\ncheck=invariant-factors\n", "")
 
     @pytest.mark.parametrize(
         "op, stdin, message",

@@ -197,8 +197,35 @@ def renumbered_searched(draw):
     return g, _renumbered(g, sigma, tau)
 
 
+@st.composite
+def several_edge_orbits(draw):
+    """A random action graph with at most 5 vertices and 10 edges whose edge
+    orbits are the vperm-images of random vertex pairs, connected or not."""
+    n = draw(st.integers(1, 5))
+    vperm = draw(st.permutations(range(n)))
+    edges, eperm = [], []
+    for u, w in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              min_size=1, max_size=4)):
+        orbit, a, b = [], u, w
+        while not orbit or {a, b} != {u, w}:
+            orbit.append((a, b))
+            a, b = vperm[a], vperm[b]
+        if len(edges) + len(orbit) <= 10:
+            eperm += [len(edges) + (i + 1) % len(orbit) for i in range(len(orbit))]
+            edges += orbit
+    return ActionGraph(n, edges, vperm, eperm)
+
+
+def _key_or_error(key, g):
+    try:
+        return key(g)
+    except ValueError:
+        return ValueError
+
+
 class TestCanonicalKey:
-    """One starting edge per cycle of eperm against starting at every edge."""
+    """Two walks per cycle of eperm against walks from every edge that try
+    both orders of every edge with two new ends."""
 
     @pytest.mark.parametrize("m", range(1, 17))
     def test_matches_all_rotations(self, m):
@@ -224,6 +251,11 @@ class TestCanonicalKey:
     def test_renumbering_keeps_the_key(self, pair):
         g, h = pair
         assert canonical_key(h) == canonical_key(g) == canonical_key_all_rotations(h)
+
+    @settings(deadline=None, max_examples=300)
+    @given(several_edge_orbits())
+    def test_several_edge_cycles_match_all_rotations(self, g):
+        assert _key_or_error(canonical_key, g) == _key_or_error(canonical_key_all_rotations, g)
 
 
 class TestTextFormat:
